@@ -16,10 +16,10 @@ import sys
 
 from .coordring import CoordPoly, SIDE_APRIME
 from .divpow import DPElem, Y_LEVEL
-from .frobdiv import (FrobCoeffTable, MembershipError, divided_frobenius,
-                      envelope_basis_check, u_consistency_check)
+from .frobdiv import (FrobCoeffTable, MembershipError, default_r_max,
+                      divided_frobenius, envelope_basis_check,
+                      u_consistency_check)
 from .diffcalc import taylor
-from .qarith import is_unit
 from .verify import SUITE_NAMES, VerifyConfig, run_suite
 
 PRIMES = (2, 3, 5, 7)
@@ -29,27 +29,24 @@ class UsageError(Exception):
     pass
 
 
-def _add_common(sp, with_m=True):
+def _add_common(sp, m=False, n_max=False):
     sp.add_argument("--p", type=int, default=2, help="prime (2, 3, 5 or 7)")
-    if with_m:
+    if m:
         sp.add_argument("--m", type=int, default=1, help="level parameter (0..3)")
-    sp.add_argument("--n-max", type=int, default=8, dest="n_max",
-                    help="index / order bound")
-    sp.add_argument("--trunc-N", type=int, default=2, dest="trunc_N",
-                    help="adic truncation order")
-    sp.add_argument("--deg-d", type=int, default=1, dest="deg_d",
-                    help="x-degree bound for truncated probes")
-    sp.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
+    if n_max:
+        sp.add_argument("--n-max", type=int, default=8, dest="n_max",
+                        help="index / order bound")
     sp.add_argument("--format", choices=("json", "csv", "text"), default="text")
     sp.add_argument("--out", metavar="FILE", help="write output to FILE")
 
 
-def _validate(args, with_m=True):
+def _validate(args):
     if args.p not in PRIMES:
         raise UsageError(f"--p must be one of {PRIMES}, got {args.p}")
-    if with_m and not 0 <= args.m <= 3:
+    if not 0 <= getattr(args, "m", 0) <= 3:
         raise UsageError(f"--m must be in 0..3, got {args.m}")
-    if args.n_max < 0 or args.trunc_N < 1 or args.deg_d < 0:
+    if ((getattr(args, "n_max", 0) or 0) < 0 or getattr(args, "trunc_N", 1) < 1
+            or getattr(args, "deg_d", 0) < 0):
         raise UsageError("bounds must be non-negative (--trunc-N at least 1)")
 
 
@@ -77,33 +74,26 @@ def _read_json_file(path):
 # ---------------------------------------------------------------------------
 
 def cmd_coeffs(args):
-    _validate(args, with_m=False)
-    table = FrobCoeffTable(args.p, args.n_max)
-    rows = []
-    for row in table.rows():
-        unit = None
-        if row["i"] == args.p * row["n"]:
-            unit = is_unit(row["b"], args.p) if row["n"] else True
-        rows.append({"p": args.p, "n": row["n"], "i": row["i"],
-                     "a": row["a"], "b": row["b"], "unit": unit})
+    _validate(args)
+    rows = list(FrobCoeffTable(args.p, args.n_max).rows())
     if args.format == "json":
         payload = {"p": args.p, "n_max": args.n_max, "rows": [
             {"n": r["n"], "i": r["i"], "a": r["a"].to_json(),
              "b": r["b"].to_json(), "a_str": str(r["a"]), "b_str": str(r["b"]),
-             "unit_at_top": r["unit"]} for r in rows]}
+             "unit_at_top": r["unit_at_top"]} for r in rows]}
         _emit(args, json.dumps(payload, indent=2) + "\n")
     elif args.format == "csv":
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(["p", "n", "i", "a", "b", "unit_at_top"])
         for r in rows:
-            w.writerow([r["p"], r["n"], r["i"], str(r["a"]), str(r["b"]),
-                        "" if r["unit"] is None else r["unit"]])
+            w.writerow([args.p, r["n"], r["i"], str(r["a"]), str(r["b"]),
+                        "" if r["unit_at_top"] is None else r["unit_at_top"]])
         _emit(args, buf.getvalue())
     else:
         lines = [f"coefficients for p = {args.p}, n <= {args.n_max}"]
         for r in rows:
-            flag = "" if r["unit"] is None else f"  unit={r['unit']}"
+            flag = "" if r["unit_at_top"] is None else f"  unit={r['unit_at_top']}"
             lines.append(f"n={r['n']:2d} i={r['i']:3d}  a = {r['a']}  |  b = {r['b']}{flag}")
         _emit(args, "\n".join(lines) + "\n")
     return 0
@@ -147,7 +137,7 @@ def cmd_taylor(args):
     data = _read_json_file(args.input)
     try:
         f = CoordPoly.from_json(data)
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         raise UsageError(f"not a coordinate-polynomial document: {e}")
     expansion = taylor(f, args.n_max, args.p, args.m)
     if args.format == "json":
@@ -158,11 +148,11 @@ def cmd_taylor(args):
 
 
 def cmd_frobenius(args):
-    _validate(args, with_m=False)
+    _validate(args)
     data = _read_json_file(args.input)
     try:
         e = DPElem.from_json(data)
-    except (KeyError, TypeError, ValueError) as e_:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e_:
         raise UsageError(f"not a divided-power document: {e_}")
     ctx = e.ctx
     if ctx.p != args.p:
@@ -178,8 +168,8 @@ def cmd_frobenius(args):
 
 
 def cmd_envelope_check(args):
-    _validate(args, with_m=False)
-    r_max = args.r_max if args.r_max is not None else (3 if args.p == 2 else 2)
+    _validate(args)
+    r_max = args.r_max if args.r_max is not None else default_r_max(args.p)
     rep = envelope_basis_check(r_max, args.p)
     if args.format == "json":
         _emit(args, json.dumps(rep, indent=2) + "\n")
@@ -198,9 +188,11 @@ def cmd_envelope_check(args):
 
 
 def cmd_u_check(args):
-    _validate(args, with_m=False)
+    _validate(args)
+    if args.n_max == 0:
+        raise UsageError("--n-max must be at least 1: index 0 checks nothing")
     try:
-        rep = u_consistency_check(args.p, args.n_max if args.n_max else None)
+        rep = u_consistency_check(args.p, args.n_max)
     except MembershipError as e:
         _emit(args, f"FAILED: {e}\n")
         return 1
@@ -222,31 +214,39 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("coeffs", help="divided-Frobenius coefficient table")
-    _add_common(sp, with_m=False)
+    _add_common(sp, n_max=True)
     sp.set_defaults(fn=cmd_coeffs)
 
     sp = sub.add_parser("verify", help="run a named check suite")
     sp.add_argument("--suite", choices=SUITE_NAMES, default="all")
-    _add_common(sp)
+    _add_common(sp, m=True, n_max=True)
+    sp.add_argument("--trunc-N", type=int, default=2, dest="trunc_N",
+                    help="adic truncation order")
+    sp.add_argument("--deg-d", type=int, default=1, dest="deg_d",
+                    help="x-degree bound for truncated probes")
+    sp.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("taylor", help="truncated Taylor expansion of an input")
     sp.add_argument("input", help="coordinate-polynomial JSON file")
-    _add_common(sp)
+    _add_common(sp, m=True, n_max=True)
     sp.set_defaults(fn=cmd_taylor)
 
     sp = sub.add_parser("frobenius", help="divided Frobenius image of an input")
     sp.add_argument("input", help="divided-power element JSON file")
-    _add_common(sp, with_m=False)
+    _add_common(sp)
     sp.set_defaults(fn=cmd_frobenius)
 
     sp = sub.add_parser("envelope-check", help="delta-iterate basis congruences")
-    _add_common(sp, with_m=False)
-    sp.add_argument("--r-max", type=int, default=None, dest="r_max")
+    _add_common(sp)
+    sp.add_argument("--r-max", type=int, default=None, dest="r_max",
+                    help="top delta-iterate (default depends on p)")
     sp.set_defaults(fn=cmd_envelope_check)
 
     sp = sub.add_parser("u-check", help="diagonal-map consistency checks")
-    _add_common(sp, with_m=False)
+    _add_common(sp)
+    sp.add_argument("--n-max", type=int, default=None, dest="n_max",
+                    help="top basis index of the kills check (default p)")
     sp.set_defaults(fn=cmd_u_check)
 
     return parser

@@ -17,12 +17,17 @@ Structure maps (p is passed where the prime matters):
 
 ``BiCoordPoly`` realizes A tensor_{A'} A as R[x1, x2] / (x1^p - x2^p)
 in the normal form with x2-exponent < p.
+
+``DenseModule`` and ``SparseModule`` hold the module arithmetic shared by
+every coefficient container of the package: the dense ``CoordPoly`` and
+``divpow.XiPoly``, and the sparse ``BiCoordPoly``, ``divpow.DPElem`` and
+``diffcalc.TwistedDiffOp``.
 """
 
 from __future__ import annotations
 
 from .qarith import (LocScalar, ONE_SCALAR, QPoly, ZERO_SCALAR, divide_exact,
-                     q_int_pow)
+                     power, q_int_pow)
 
 SIDE_A = "A"
 SIDE_APRIME = "A'"
@@ -40,32 +45,46 @@ def _as_scalar(c):
     raise TypeError(f"cannot use {type(c).__name__} as a coefficient")
 
 
-class CoordPoly:
-    """Polynomial in the coordinate x (or x'), LocScalar coefficients."""
+def accumulate(out, key, value):
+    """out[key] += value, where a missing key counts as zero."""
+    acc = out.get(key)
+    out[key] = value if acc is None else acc + value
+
+
+# ---------------------------------------------------------------------------
+# module arithmetic shared by the coefficient containers
+# ---------------------------------------------------------------------------
+
+class DenseModule:
+    """Coefficients on the basis 1, t, t^2, ... as a tuple, trailing zeros
+    trimmed, tagged with the side it lives on.
+
+    Subclasses normalise their constructor arguments and then call
+    ``_store``; they supply ``_coeff`` (normalise one coefficient) and
+    ``_scalar_types`` (the operands read as scalars).
+    """
 
     __slots__ = ("side", "coeffs")
 
-    def __init__(self, coeffs=(), side=SIDE_A):
-        if side not in (SIDE_A, SIDE_APRIME):
-            raise SideMismatchError(f"unknown side {side!r}")
-        if isinstance(coeffs, CoordPoly):
-            side, coeffs = coeffs.side, coeffs.coeffs
-        elif isinstance(coeffs, (int, QPoly, LocScalar)):
-            coeffs = (_as_scalar(coeffs),)
-        cs = [_as_scalar(c) for c in coeffs]
+    def _store(self, side, coeffs):
+        self.side = side
+        coerce = self._coeff
+        cs = [coerce(c) for c in coeffs]
         while cs and cs[-1].is_zero():
             cs.pop()
-        self.side = side
         self.coeffs = tuple(cs)
 
-    @classmethod
-    def x(cls, side=SIDE_A):
-        return cls((ZERO_SCALAR, ONE_SCALAR), side)
+    def _scalar(self, other):
+        return self._coeff(other) if isinstance(other, self._scalar_types) else None
 
-    @classmethod
-    def monomial(cls, c, d, side=SIDE_A):
-        c = _as_scalar(c)
-        return cls((ZERO_SCALAR,) * d + (c,), side)
+    def _new(self, coeffs):
+        return type(self)(coeffs, self.side)
+
+    def _coerce(self, other):
+        if isinstance(other, type(self)):
+            return other
+        c = self._scalar(other)
+        return NotImplemented if c is None else self._new((c,))
 
     def is_zero(self):
         return not self.coeffs
@@ -80,7 +99,7 @@ class CoordPoly:
     def coeff(self, d):
         if 0 <= d < len(self.coeffs):
             return self.coeffs[d]
-        return ZERO_SCALAR
+        return self._coeff(0)
 
     def _check_side(self, other):
         if self.side != other.side:
@@ -88,9 +107,8 @@ class CoordPoly:
                 f"cannot combine elements of {self.side} and {other.side}")
 
     def __eq__(self, other):
-        if isinstance(other, (int, QPoly, LocScalar)):
-            other = CoordPoly(other, self.side)
-        if not isinstance(other, CoordPoly):
+        other = self._coerce(other)
+        if other is NotImplemented:
             return NotImplemented
         return self.side == other.side and self.coeffs == other.coeffs
 
@@ -98,9 +116,8 @@ class CoordPoly:
         return hash((self.side, self.coeffs))
 
     def __add__(self, other):
-        if isinstance(other, (int, QPoly, LocScalar)):
-            other = CoordPoly(other, self.side)
-        if not isinstance(other, CoordPoly):
+        other = self._coerce(other)
+        if other is NotImplemented:
             return NotImplemented
         self._check_side(other)
         a, b = self.coeffs, other.coeffs
@@ -109,56 +126,154 @@ class CoordPoly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] = out[i] + c
-        return CoordPoly(out, self.side)
+        return self._new(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CoordPoly(tuple(-c for c in self.coeffs), self.side)
+        return self._new(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
-        if isinstance(other, (int, QPoly, LocScalar)):
-            other = CoordPoly(other, self.side)
-        if not isinstance(other, CoordPoly):
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, QPoly, LocScalar)):
-            c = _as_scalar(other)
-            return CoordPoly(tuple(c * a for a in self.coeffs), self.side)
-        if not isinstance(other, CoordPoly):
-            return NotImplemented
+        if not isinstance(other, type(self)):
+            c = self._scalar(other)
+            if c is None:
+                return NotImplemented
+            return self._new(tuple(a * c for a in self.coeffs))
         self._check_side(other)
-        if self.is_zero() or other.is_zero():
-            return CoordPoly((), self.side)
-        out = [ZERO_SCALAR] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = {}
         for i, a in enumerate(self.coeffs):
             if a.is_zero():
                 continue
             for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return CoordPoly(out, self.side)
+                accumulate(out, i + j, a * b)
+        zero = self._coeff(0)
+        return self._new([out.get(d, zero)
+                          for d in range(len(self.coeffs) + len(other.coeffs) - 1)])
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power")
-        out = CoordPoly(1, self.side)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, self._new((1,)))
 
     def map_coeffs(self, fn):
-        return CoordPoly(tuple(fn(c) for c in self.coeffs), self.side)
+        return self._new(tuple(fn(c) for c in self.coeffs))
+
+
+class SparseModule:
+    """Finitely supported map basis key -> nonzero coefficient.
+
+    Subclasses store their context, then call ``_store``; they supply
+    ``_context`` (the constructor arguments before ``terms``, compared
+    when combining), ``_coeff`` (normalise one coefficient),
+    ``_scalar_types`` (the operands read as scalars) and ``_product``.
+    ``_basis_key`` may validate or rewrite the key of a nonzero term.
+    """
+
+    __slots__ = ("terms",)
+
+    _unit_key = 0
+
+    def _store(self, terms):
+        out = {}
+        for k, c in (terms or {}).items():
+            c = self._coeff(c)
+            if not c.is_zero():
+                accumulate(out, self._basis_key(k), c)
+        self.terms = {k: c for k, c in out.items() if not c.is_zero()}
+
+    def _basis_key(self, k):
+        return k
+
+    def _scalar(self, other):
+        return self._coeff(other) if isinstance(other, self._scalar_types) else None
+
+    def _new(self, terms):
+        return type(self)(*self._context(), terms)
+
+    def _check(self, other):
+        if self._context() != other._context():
+            raise ValueError(
+                f"context mismatch: {self._context()} vs {other._context()}")
+
+    def is_zero(self):
+        return not self.terms
+
+    def support(self):
+        return sorted(self.terms)
+
+    def coeff(self, k):
+        c = self.terms.get(k)
+        return self._coeff(0) if c is None else c
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._context() == other._context() and self.terms == other.terms
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check(other)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            accumulate(out, k, c)
+        return self._new(out)
+
+    def __neg__(self):
+        return self._new({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, type(self)):
+            self._check(other)
+            return self._product(other)
+        c = self._scalar(other)
+        if c is None:
+            return NotImplemented
+        return self._new({k: v * c for k, v in self.terms.items()})
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n):
+        return power(self, n, self._new({self._unit_key: 1}))
+
+    def map_coeffs(self, fn):
+        return self._new({k: fn(c) for k, c in self.terms.items()})
+
+
+class CoordPoly(DenseModule):
+    """Polynomial in the coordinate x (or x'), LocScalar coefficients."""
+
+    __slots__ = ()
+
+    _coeff = staticmethod(_as_scalar)
+    _scalar_types = (int, QPoly, LocScalar)
+
+    def __init__(self, coeffs=(), side=SIDE_A):
+        if side not in (SIDE_A, SIDE_APRIME):
+            raise SideMismatchError(f"unknown side {side!r}")
+        if isinstance(coeffs, CoordPoly):
+            side, coeffs = coeffs.side, coeffs.coeffs
+        elif isinstance(coeffs, (int, QPoly, LocScalar)):
+            coeffs = (coeffs,)
+        self._store(side, coeffs)
+
+    @classmethod
+    def x(cls, side=SIDE_A):
+        return cls((ZERO_SCALAR, ONE_SCALAR), side)
+
+    @classmethod
+    def monomial(cls, c, d, side=SIDE_A):
+        c = _as_scalar(c)
+        return cls((ZERO_SCALAR,) * d + (c,), side)
 
     def __repr__(self):
         return f"CoordPoly({self.side}, [{', '.join(map(str, self.coeffs))}])"
@@ -268,87 +383,35 @@ def frobenius_recompose(parts, p):
 # A tensor_{A'} A
 # ---------------------------------------------------------------------------
 
-class BiCoordPoly:
+class BiCoordPoly(SparseModule):
     """Element of R[x1, x2] / (x1^p - x2^p), x2-exponent < p in normal form."""
 
-    __slots__ = ("p", "terms")
+    __slots__ = ("p",)
+
+    _coeff = staticmethod(_as_scalar)
+    _scalar_types = (int, QPoly, LocScalar)
+    _unit_key = (0, 0)
 
     def __init__(self, p, terms=None):
         self.p = p
-        out = {}
-        for (i, j), c in (terms or {}).items():
-            c = _as_scalar(c)
-            if c.is_zero():
-                continue
-            while j >= p:              # rewrite x2^p -> x1^p
-                i, j = i + p, j - p
-            key = (i, j)
-            acc = out.get(key)
-            c = c if acc is None else acc + c
-            if c.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = c
-        self.terms = out
+        self._store(terms)
 
-    def is_zero(self):
-        return not self.terms
+    def _context(self):
+        return (self.p,)
 
-    def __eq__(self, other):
-        if not isinstance(other, BiCoordPoly):
-            return NotImplemented
-        return self.p == other.p and self.terms == other.terms
+    def _basis_key(self, k):
+        i, j = k
+        p = self.p
+        while j >= p:              # rewrite x2^p -> x1^p
+            i, j = i + p, j - p
+        return i, j
 
-    def _check(self, other):
-        if self.p != other.p:
-            raise ValueError("mixed reduction exponents")
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            acc = out.get(k)
-            s = c if acc is None else acc + c
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return BiCoordPoly(self.p, out)
-
-    def __neg__(self):
-        return BiCoordPoly(self.p, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, QPoly, LocScalar)):
-            c = _as_scalar(other)
-            return BiCoordPoly(self.p, {k: c * v for k, v in self.terms.items()})
-        self._check(other)
+    def _product(self, other):
         out = {}
         for (i1, j1), c1 in self.terms.items():
             for (i2, j2), c2 in other.terms.items():
-                k = (i1 + i2, j1 + j2)
-                prod = c1 * c2
-                acc = out.get(k)
-                out[k] = prod if acc is None else acc + prod
+                accumulate(out, (i1 + i2, j1 + j2), c1 * c2)
         return BiCoordPoly(self.p, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        out = BiCoordPoly(self.p, {(0, 0): ONE_SCALAR})
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def map_coeffs(self, fn):
-        return BiCoordPoly(self.p, {k: fn(c) for k, c in self.terms.items()})
 
     def __repr__(self):
         if not self.terms:

@@ -25,27 +25,34 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .qarith import LocScalar, QPoly, q_int, q_int_pow
-from .coordring import CoordPoly, SIDE_A, q_derivative
+from .coordring import CoordPoly, SIDE_A, SparseModule, accumulate, q_derivative
 from .divpow import DPContext, DPElem, Y_LEVEL
 
 
-class TwistedDiffOp:
+class TwistedDiffOp(SparseModule):
     """Operator sum f_n D^<n> in normal form, coefficients on the left."""
 
-    __slots__ = ("p", "m", "terms")
+    __slots__ = ("p", "m")
+
+    _scalar_types = (int, QPoly, LocScalar, CoordPoly)
 
     def __init__(self, p, m, terms=None):
         self.p = p
         self.m = m
-        out = {}
-        for n, c in (terms or {}).items():
-            if not isinstance(c, CoordPoly):
-                c = CoordPoly(c, SIDE_A)
-            if c.side != SIDE_A:
-                raise ValueError("operator coefficients live on side A")
-            if not c.is_zero():
-                out[n] = c
-        self.terms = out
+        self._store(terms)
+
+    def _context(self):
+        return (self.p, self.m)
+
+    def _coeff(self, c):
+        if not isinstance(c, CoordPoly):
+            c = CoordPoly(c, SIDE_A)
+        if c.side != SIDE_A:
+            raise ValueError("operator coefficients live on side A")
+        return c
+
+    def _product(self, other):
+        return op_compose(self, other)
 
     @classmethod
     def generator(cls, p, m, n=1):
@@ -54,49 +61,6 @@ class TwistedDiffOp:
     @classmethod
     def scalar(cls, p, m, f):
         return cls(p, m, {0: f})
-
-    def _check(self, other):
-        if (self.p, self.m) != (other.p, other.m):
-            raise ValueError("operator context mismatch")
-
-    def is_zero(self):
-        return not self.terms
-
-    def support(self):
-        return sorted(self.terms)
-
-    def coeff(self, n):
-        return self.terms.get(n, CoordPoly((), SIDE_A))
-
-    def __eq__(self, other):
-        if not isinstance(other, TwistedDiffOp):
-            return NotImplemented
-        return (self.p, self.m) == (other.p, other.m) and self.terms == other.terms
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for n, c in other.terms.items():
-            acc = out.get(n)
-            s = c if acc is None else acc + c
-            if s.is_zero():
-                out.pop(n, None)
-            else:
-                out[n] = s
-        return TwistedDiffOp(self.p, self.m, out)
-
-    def __neg__(self):
-        return TwistedDiffOp(self.p, self.m,
-                             {n: -c for n, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, TwistedDiffOp):
-            return op_compose(self, other)
-        return TwistedDiffOp(self.p, self.m,
-                             {n: c * other for n, c in self.terms.items()})
 
     def __repr__(self):
         if not self.terms:
@@ -145,10 +109,7 @@ def op_compose(d1, d2):
                 if c.is_zero():
                     continue
                 for k, xdeg, s in _commute_monomial(p, m, n1, deg):
-                    key = k + n2
-                    term = f1 * CoordPoly.monomial(c * s, xdeg)
-                    acc = out.get(key)
-                    out[key] = term if acc is None else acc + term
+                    accumulate(out, k + n2, f1 * CoordPoly.monomial(c * s, xdeg))
     return TwistedDiffOp(p, m, out)
 
 
@@ -197,9 +158,7 @@ def comult(e, n1_cap, n2_cap):
             i2 = i - i1
             if i1 > n1_cap or i2 > n2_cap:
                 continue
-            key = (i1, i2)
-            acc = out.get(key)
-            out[key] = c if acc is None else acc + c
+            accumulate(out, (i1, i2), c)
     return {k: v for k, v in out.items() if not v.is_zero()}
 
 

@@ -30,8 +30,8 @@ from functools import lru_cache
 
 from .qarith import (LocScalar, ONE, QPoly, QRat, q_binomial, q_binomial_pow,
                      q_factorial, q_int_pow)
-from .coordring import (CoordPoly, SIDE_A, SIDE_APRIME, SideMismatchError,
-                        pullback_map)
+from .coordring import (CoordPoly, DenseModule, SIDE_A, SIDE_APRIME,
+                        SideMismatchError, SparseModule, accumulate, pullback_map)
 
 DEFAULT_DEGREE_CAP = 16
 
@@ -117,90 +117,28 @@ class DPContext:
 # polynomials in xi over A (monomial basis)
 # ---------------------------------------------------------------------------
 
-class XiPoly:
+class XiPoly(DenseModule):
     """Polynomial in xi with CoordPoly coefficients (monomial basis)."""
 
-    __slots__ = ("side", "coeffs")
+    __slots__ = ()
+
+    _scalar_types = (int, QPoly, LocScalar, CoordPoly)
 
     def __init__(self, coeffs=(), side=SIDE_A):
         if isinstance(coeffs, CoordPoly):
             side, coeffs = coeffs.side, (coeffs,)
-        cs = [c if isinstance(c, CoordPoly) else CoordPoly(c, side) for c in coeffs]
-        for c in cs:
-            if c.side != side:
-                raise SideMismatchError("mixed sides in XiPoly")
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        self.side = side
-        self.coeffs = tuple(cs)
+        self._store(side, coeffs)
 
     @classmethod
     def gen(cls, side=SIDE_A):
         return cls((CoordPoly((), side), CoordPoly(1, side)), side)
 
-    def is_zero(self):
-        return not self.coeffs
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def coeff(self, d):
-        if 0 <= d < len(self.coeffs):
-            return self.coeffs[d]
-        return CoordPoly((), self.side)
-
-    def __eq__(self, other):
-        if not isinstance(other, XiPoly):
-            return NotImplemented
-        return self.side == other.side and self.coeffs == other.coeffs
-
-    def __add__(self, other):
-        if isinstance(other, (int, QPoly, LocScalar)):
-            other = CoordPoly(other, self.side)
-        if isinstance(other, CoordPoly):
-            other = XiPoly((other,), self.side)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return XiPoly(out, self.side)
-
-    def __neg__(self):
-        return XiPoly(tuple(-c for c in self.coeffs), self.side)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, QPoly, LocScalar, CoordPoly)):
-            return XiPoly(tuple(c * other for c in self.coeffs), self.side)
-        if not isinstance(other, XiPoly):
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return XiPoly((), self.side)
-        out = [CoordPoly((), self.side)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return XiPoly(out, self.side)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        out = XiPoly((CoordPoly(1, self.side),), self.side)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def map_coeffs(self, fn):
-        return XiPoly(tuple(fn(c) for c in self.coeffs), self.side)
+    def _coeff(self, c):
+        if not isinstance(c, CoordPoly):
+            c = CoordPoly(c, self.side)
+        if c.side != self.side:
+            raise SideMismatchError("mixed sides in XiPoly")
+        return c
 
     def subst(self, value, embed):
         """Evaluate at xi = value, embedding coefficients with ``embed``.
@@ -327,26 +265,37 @@ def twisted_power_mul(n1, n2, ctx):
     return out
 
 
-class DPElem:
+class DPElem(SparseModule):
     """Finitely supported combination of divided-power basis symbols."""
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx",)
+
+    _scalar_types = (int, QPoly, LocScalar, CoordPoly)
 
     def __init__(self, ctx, terms=None):
         self.ctx = ctx
-        out = {}
-        for n, c in (terms or {}).items():
-            if not isinstance(c, CoordPoly):
-                c = CoordPoly(c, ctx.side)
-            if c.side != ctx.side:
-                raise SideMismatchError("coefficient side does not match context")
-            if c.is_zero():
-                continue
-            if n > ctx.cap:
-                raise DegreeCapError(
-                    f"divided-power index {n} exceeds cap {ctx.cap}")
-            out[n] = c
-        self.terms = out
+        self._store(terms)
+
+    def _context(self):
+        return (self.ctx,)
+
+    def _coeff(self, c):
+        if not isinstance(c, CoordPoly):
+            c = CoordPoly(c, self.ctx.side)
+        if c.side != self.ctx.side:
+            raise SideMismatchError("coefficient side does not match context")
+        return c
+
+    def _basis_key(self, n):
+        if n < 0:
+            raise ValueError(f"divided-power index {n} is negative")
+        if n > self.ctx.cap:
+            raise DegreeCapError(
+                f"divided-power index {n} exceeds cap {self.ctx.cap}")
+        return n
+
+    def _product(self, other):
+        return dp_mul(self, other)
 
     @classmethod
     def one(cls, ctx):
@@ -355,54 +304,6 @@ class DPElem:
     @classmethod
     def basis(cls, ctx, n, coeff=1):
         return cls(ctx, {n: CoordPoly(coeff, ctx.side)})
-
-    def is_zero(self):
-        return not self.terms
-
-    def support(self):
-        return sorted(self.terms)
-
-    def coeff(self, n):
-        return self.terms.get(n, CoordPoly((), self.ctx.side))
-
-    def _check(self, other):
-        if self.ctx != other.ctx:
-            raise ValueError(f"context mismatch: {self.ctx} vs {other.ctx}")
-
-    def __eq__(self, other):
-        if not isinstance(other, DPElem):
-            return NotImplemented
-        return self.ctx == other.ctx and self.terms == other.terms
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for n, c in other.terms.items():
-            acc = out.get(n)
-            s = c if acc is None else acc + c
-            if s.is_zero():
-                out.pop(n, None)
-            else:
-                out[n] = s
-        return DPElem(self.ctx, out)
-
-    def __neg__(self):
-        return DPElem(self.ctx, {n: -c for n, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, QPoly, LocScalar, CoordPoly)):
-            if not isinstance(other, CoordPoly):
-                other = CoordPoly(other, self.ctx.side)
-            return DPElem(self.ctx,
-                          {n: c * other for n, c in self.terms.items()})
-        if not isinstance(other, DPElem):
-            return NotImplemented
-        return dp_mul(self, other)
-
-    __rmul__ = __mul__
 
     def __pow__(self, n):
         # repeated multiplication: keeps intermediate support minimal,
@@ -415,9 +316,6 @@ class DPElem:
     def truncate(self, cap):
         """Drop basis indices above cap (reduction mod the filtration)."""
         return DPElem(self.ctx, {n: c for n, c in self.terms.items() if n <= cap})
-
-    def map_coeffs(self, fn):
-        return DPElem(self.ctx, {n: fn(c) for n, c in self.terms.items()})
 
     def __repr__(self):
         if not self.terms:
@@ -446,9 +344,7 @@ def dp_mul(u, v):
         for n2, c2 in v.terms.items():
             c12 = c1 * c2
             for n, s in dp_structure_terms(ctx, n1, n2):
-                acc = out.get(n)
-                t = c12 * s
-                out[n] = t if acc is None else acc + t
+                accumulate(out, n, c12 * s)
     return DPElem(ctx, out)
 
 

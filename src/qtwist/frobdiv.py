@@ -119,10 +119,10 @@ class FrobCoeffTable:
 
     def rows(self):
         for n in range(self.n_max + 1):
-            for i in range(n, self.p * n + 1) if n else [0]:
+            for i in range(n, self.p * n + 1):
                 a = coeff_a(n, i, self.p)
-                b = coeff_b(n, i, self.p) if n <= i else None
-                unit = is_unit(b, self.p) if (b is not None and i == self.p * n) else None
+                b = coeff_b(n, i, self.p)
+                unit = is_unit(b, self.p) if i == self.p * n else None
                 yield {"n": n, "i": i, "a": a, "b": b, "unit_at_top": unit}
 
     def validate(self):
@@ -267,6 +267,13 @@ def _p_valuation(fr, p):
         den //= p
         v -= 1
     return v
+
+
+def default_r_max(p):
+    """Default top r of the envelope check: the largest that stays cheap at p."""
+    if p == 2:
+        return 3
+    return 2 if p in (3, 5) else 1
 
 
 @lru_cache(maxsize=None)

@@ -163,6 +163,20 @@ def _gcd(a, b):
     return a
 
 
+def power(base, n, one):
+    """base ** n by square-and-multiply; one is the unit of base's ring."""
+    if n < 0:
+        raise ValueError("negative power")
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return out
+
+
 class QPoly:
     """Integer-coefficient polynomial in q, canonical (no trailing zeros)."""
 
@@ -225,11 +239,7 @@ class QPoly:
         return QPoly._raw(_neg(self.coeffs))
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = QPoly(other)
-        if not isinstance(other, QPoly):
-            return NotImplemented
-        return QPoly._raw(_add(self.coeffs, _neg(other.coeffs)))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -244,16 +254,7 @@ class QPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out = QPoly(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, ONE)
 
     # -- substitutions and evaluation ----------------------------------------
 
@@ -496,11 +497,6 @@ class _Frac:
         self.num = QPoly(n)
         self.den = QPoly(d)
 
-    @classmethod
-    def _make(cls, num, den):
-        n, d = _reduce_pair(num.coeffs, den.coeffs)
-        return cls(QPoly(n), QPoly(d), _reduced=True)
-
     def is_zero(self):
         return self.num.is_zero()
 
@@ -534,7 +530,7 @@ class _Frac:
         da = self.den.divexact(g)
         db = other.den.divexact(g)
         num = self.num * db + other.num * da
-        return type(self)._make(num, da * other.den)
+        return type(self)(num, da * other.den)
 
     __radd__ = __add__
 
@@ -542,9 +538,6 @@ class _Frac:
         return type(self)(-self.num, self.den, _reduced=True)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
@@ -561,7 +554,7 @@ class _Frac:
         g2 = QPoly(_gcd(other.num.coeffs, self.den.coeffs))
         num = self.num.divexact(g1) * other.num.divexact(g2)
         den = self.den.divexact(g2) * other.den.divexact(g1)
-        return type(self)._make(num, den)
+        return type(self)(num, den)
 
     __rmul__ = __mul__
 
@@ -594,12 +587,6 @@ class _Frac:
 
     def is_polynomial(self):
         return self.den == ONE
-
-    def as_qpoly(self):
-        if self.den != ONE:
-            raise NotDivisibleError("fraction has a nontrivial denominator",
-                                    witness=self.den)
-        return self.num
 
     # -- presentation ----------------------------------------------------------
 
@@ -640,10 +627,6 @@ class LocScalar(_Frac):
 
 def locscalar_to_qrat(z):
     return QRat(z.num, z.den, _reduced=True)
-
-
-def qrat_to_locscalar(z):
-    return LocScalar(z.num, z.den, _reduced=True)
 
 
 ZERO_SCALAR = LocScalar(ZERO)

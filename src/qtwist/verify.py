@@ -48,12 +48,6 @@ class VerifyConfig:
         return random.Random(self.seed + zlib.crc32(check_id.encode()))
 
 
-def _envelope_r_max(p):
-    if p == 2:
-        return 3
-    return 2 if p in (3, 5) else 1
-
-
 def _random_coordpoly(rng, p, side=SIDE_A, deg=3, sdeg=2, bound=6):
     return CoordPoly(
         [qa.random_locscalar(rng, p, sdeg, bound) for _ in range(deg + 1)], side)
@@ -434,7 +428,7 @@ def check_delta_xi_rank_one(cfg):
 
 
 def check_envelope(cfg):
-    r_max = _envelope_r_max(cfg.p)
+    r_max = fd.default_r_max(cfg.p)
     rep = fd.envelope_basis_check(r_max, cfg.p)
     rows = "; ".join(
         f"r={row['r']}: c={row['c']}"
@@ -550,11 +544,9 @@ def check_comult_coassoc(cfg):
         lhs, rhs = {}, {}
         for (i1, i2), c in once.items():
             for (j1, j2), c2 in dc.comult(DPElem.basis(ctx, i1), 6, 6).items():
-                key = (j1, j2, i2)
-                lhs[key] = lhs.get(key, CoordPoly(())) + c * c2
+                cr.accumulate(lhs, (j1, j2, i2), c * c2)
             for (j1, j2), c2 in dc.comult(DPElem.basis(ctx, i2), 6, 6).items():
-                key = (i1, j1, j2)
-                rhs[key] = rhs.get(key, CoordPoly(())) + c * c2
+                cr.accumulate(rhs, (i1, j1, j2), c * c2)
         lhs = {k: v for k, v in lhs.items() if not v.is_zero()}
         rhs = {k: v for k, v in rhs.items() if not v.is_zero()}
         if lhs != rhs:

@@ -148,3 +148,42 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["failed"] == 0
+
+
+def test_envelope_check_default_r_max(capsys):
+    code, out, _ = run(capsys, "envelope-check", "--p", "7", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["r_max"] == 1
+
+
+def test_u_check_default_n_cap_is_p(capsys):
+    code, out, _ = run(capsys, "u-check", "--p", "3", "--format", "json")
+    assert code == 0
+    checks = {c["id"]: c for c in json.loads(out)["checks"]}
+    assert checks["kills-divided-frobenius"]["detail"].startswith("indices 1..3:")
+    code, _, err = run(capsys, "u-check", "--p", "3", "--n-max", "0")
+    assert code == 2 and "at least 1" in err
+
+
+def test_unread_flags_are_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["coeffs", "--seed", "1"])
+    assert exc.value.code == 2
+
+
+def test_taylor_rejects_zero_denominator(tmp_path, capsys):
+    doc = tmp_path / "zero-den.json"
+    doc.write_text(json.dumps({"side": "A", "coeffs": [{"num": ["1"], "den": ["0"]}]}))
+    code, _, err = run(capsys, "taylor", str(doc), "--p", "2")
+    assert code == 2
+    assert "zero denominator" in err
+
+
+def test_frobenius_rejects_negative_index(tmp_path, capsys):
+    doc_json = DPElem.basis(level_minus_one_ctx(2, SIDE_APRIME), 1).to_json()
+    doc_json["terms"] = {"-1": doc_json["terms"]["1"]}
+    doc = tmp_path / "negative.json"
+    doc.write_text(json.dumps(doc_json))
+    code, _, err = run(capsys, "frobenius", str(doc), "--p", "2")
+    assert code == 2
+    assert "negative" in err

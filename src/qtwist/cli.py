@@ -29,14 +29,15 @@ class UsageError(Exception):
     pass
 
 
-def _add_common(sp, m=False, n_max=False):
+def _add_common(sp, m=False, n_max=False, with_csv=False):
     sp.add_argument("--p", type=int, default=2, help="prime (2, 3, 5 or 7)")
     if m:
         sp.add_argument("--m", type=int, default=1, help="level parameter (0..3)")
     if n_max:
         sp.add_argument("--n-max", type=int, default=8, dest="n_max",
                         help="index / order bound")
-    sp.add_argument("--format", choices=("json", "csv", "text"), default="text")
+    sp.add_argument("--format", default="text",
+                    choices=("json", "csv", "text") if with_csv else ("json", "text"))
     sp.add_argument("--out", metavar="FILE", help="write output to FILE")
 
 
@@ -45,9 +46,18 @@ def _validate(args):
         raise UsageError(f"--p must be one of {PRIMES}, got {args.p}")
     if not 0 <= getattr(args, "m", 0) <= 3:
         raise UsageError(f"--m must be in 0..3, got {args.m}")
-    if ((getattr(args, "n_max", 0) or 0) < 0 or getattr(args, "trunc_N", 1) < 1
-            or getattr(args, "deg_d", 0) < 0):
+    if ((getattr(args, "n_max", 0) or 0) < 0 or (getattr(args, "r_max", 0) or 0) < 0
+            or getattr(args, "trunc_N", 1) < 1 or getattr(args, "deg_d", 0) < 0):
         raise UsageError("bounds must be non-negative (--trunc-N at least 1)")
+
+
+def _check_localized(f, p, where=""):
+    """Reject a CoordPoly coefficient outside the localization at (p, q-1)."""
+    for j, c in enumerate(f.coeffs):
+        if not c.in_localization(p):
+            raise UsageError(
+                f"{where}coefficient {j} = {c} is not in the localization at "
+                f"(p, q-1) for p = {p}: its denominator at q = 1 is divisible by p")
 
 
 def _emit(args, text):
@@ -104,14 +114,15 @@ def cmd_verify(args):
     cfg = VerifyConfig(p=args.p, m=args.m, n_max=args.n_max,
                        trunc_N=args.trunc_N, deg_d=args.deg_d, seed=args.seed)
     checks = run_suite(args.suite, cfg)
-    failed = [c for c in checks if c["status"] == "fail"]
+    counts = {s: sum(c["status"] == s for c in checks) for s in ("pass", "skip", "fail")}
     report = {
         "config": {"suite": args.suite, "p": args.p, "m": args.m,
                    "n_max": args.n_max, "trunc_N": args.trunc_N,
                    "deg_d": args.deg_d, "seed": args.seed},
         "checks": checks,
-        "passed": len(checks) - len(failed),
-        "failed": len(failed),
+        "passed": counts["pass"],
+        "skipped": counts["skip"],
+        "failed": counts["fail"],
     }
     if args.format == "json":
         _emit(args, json.dumps(report, indent=2) + "\n")
@@ -127,9 +138,10 @@ def cmd_verify(args):
         for c in checks:
             lines.append(f"[{c['status']:4}] {c['id']}")
             lines.append(f"        {c['detail']}")
-        lines.append(f"{report['passed']} passed, {report['failed']} failed")
+        lines.append(f"{report['passed']} passed, {report['skipped']} skipped, "
+                     f"{report['failed']} failed")
         _emit(args, "\n".join(lines) + "\n")
-    return 1 if failed else 0
+    return 1 if report["failed"] else 0
 
 
 def cmd_taylor(args):
@@ -139,6 +151,7 @@ def cmd_taylor(args):
         f = CoordPoly.from_json(data)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         raise UsageError(f"not a coordinate-polynomial document: {e}")
+    _check_localized(f, args.p)
     expansion = taylor(f, args.n_max, args.p, args.m)
     if args.format == "json":
         _emit(args, json.dumps(expansion.to_json(), indent=2) + "\n")
@@ -159,6 +172,8 @@ def cmd_frobenius(args):
         raise UsageError(f"document prime {ctx.p} != --p {args.p}")
     if ctx.m != 1 or ctx.side != SIDE_APRIME or ctx.y_mode != Y_LEVEL:
         raise UsageError("input must be a level -1 element over the pullback side")
+    for n, c in sorted(e.terms.items()):
+        _check_localized(c, ctx.p, f"term {n}, ")
     img = divided_frobenius(e)
     if args.format == "json":
         _emit(args, json.dumps(img.to_json(), indent=2) + "\n")
@@ -214,12 +229,12 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("coeffs", help="divided-Frobenius coefficient table")
-    _add_common(sp, n_max=True)
+    _add_common(sp, n_max=True, with_csv=True)
     sp.set_defaults(fn=cmd_coeffs)
 
     sp = sub.add_parser("verify", help="run a named check suite")
     sp.add_argument("--suite", choices=SUITE_NAMES, default="all")
-    _add_common(sp, m=True, n_max=True)
+    _add_common(sp, m=True, n_max=True, with_csv=True)
     sp.add_argument("--trunc-N", type=int, default=2, dest="trunc_N",
                     help="adic truncation order")
     sp.add_argument("--deg-d", type=int, default=1, dest="deg_d",

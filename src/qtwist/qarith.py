@@ -4,6 +4,17 @@ Polynomials in q are represented as tuples of arbitrary-precision integers
 in ascending degree: a_0 + a_1*q + ... + a_n*q^n corresponds to
 (a_0, a_1, ..., a_n) with a_n != 0, and () for the zero polynomial.
 
+Products use the schoolbook loop unless both operands have at least
+``KRONECKER_CUTOFF`` (24) terms; then they go by Kronecker substitution
+(Kronecker 1882; Harvey, J. Symb. Comput. 2009): each operand is packed
+into one integer in base 2^k, the two integers are multiplied once by
+CPython's Karatsuba, and the product's signed base-2^k digits are its
+coefficients.  k is the sum of the operands' largest coefficient bit
+lengths, plus the bit length of the shorter length, plus a sign bit,
+rounded up to whole bytes so that packing and unpacking go through
+``int.to_bytes``/``int.from_bytes``.  Below the cutoff, or when one
+operand is short, the conversions cost more than the loop.
+
 Fractions num/den of such polynomials are kept in a canonical form:
 
 * gcd(num, den) over Q[q] removed,
@@ -60,7 +71,16 @@ def _neg(a):
     return tuple(-c for c in a)
 
 
+KRONECKER_CUTOFF = 24   # both operands need this many terms for _mul_kronecker
+
+
 def _mul(a, b):
+    if len(a) >= KRONECKER_CUTOFF and len(b) >= KRONECKER_CUTOFF:
+        return _mul_kronecker(a, b)
+    return _mul_schoolbook(a, b)
+
+
+def _mul_schoolbook(a, b):
     if not a or not b:
         return ()
     out = [0] * (len(a) + len(b) - 1)
@@ -69,6 +89,47 @@ def _mul(a, b):
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
     return _trim(out)
+
+
+def _kron_pack(a, w):
+    """The integer sum of a[i] * 256^(w*i); needs |a[i]| < 256^w."""
+    if min(a) >= 0:
+        return int.from_bytes(b"".join([c.to_bytes(w, "little") for c in a]), "little")
+    zero = bytes(w)
+    pos = b"".join([c.to_bytes(w, "little") if c > 0 else zero for c in a])
+    neg = b"".join([(-c).to_bytes(w, "little") if c < 0 else zero for c in a])
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _kron_unpack(x, w, m):
+    """The m signed base-256^w digits of x, each in [-256^w / 2, 256^w / 2).
+
+    Adding 256^w / 2 to every digit makes them all non-negative, so the
+    digits are read straight off the bytes with no carry between them.
+    """
+    half = 1 << (8 * w - 1)
+    x += int.from_bytes((bytes(w - 1) + b"\x80") * m, "little")
+    s = x.to_bytes(w * m, "little")
+    return [int.from_bytes(s[i:i + w], "little") - half for i in range(0, w * m, w)]
+
+
+def _mul_kronecker(a, b):
+    """Product by Kronecker substitution: evaluate both operands at q = 256^w,
+    multiply the two integers once, and read the coefficients off the digits.
+
+    A product coefficient is a sum of min(len(a), len(b)) terms, each below
+    2^(bits(a) + bits(b)) in absolute value, so with a sign bit on top it
+    fits in k = bits(a) + bits(b) + bitlen(min length) + 1 bits; w is k in
+    whole bytes.
+    """
+    if not a or not b:
+        return ()
+    k = (max(max(a), -min(a)).bit_length() + max(max(b), -min(b)).bit_length()
+         + min(len(a), len(b)).bit_length() + 1)
+    w = (k + 7) >> 3
+    x = _kron_pack(a, w)
+    y = x if b is a else _kron_pack(b, w)   # x * x takes CPython's squaring path
+    return _trim(_kron_unpack(x * y, w, len(a) + len(b) - 1))
 
 
 def _scale(a, k):

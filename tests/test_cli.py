@@ -166,9 +166,59 @@ def test_u_check_default_n_cap_is_p(capsys):
 
 
 def test_unread_flags_are_rejected(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["coeffs", "--seed", "1"])
-    assert exc.value.code == 2
+    for argv in (["coeffs", "--seed", "1"],
+                 ["taylor", "one.json", "--format", "csv"],
+                 ["frobenius", "one.json", "--format", "csv"],
+                 ["envelope-check", "--format", "csv"],
+                 ["u-check", "--format", "csv"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+
+
+def test_verify_counts_skips_apart_from_passes(capsys, monkeypatch):
+    import qtwist.verify as verify
+    suites = dict(verify.SUITES)
+    suites["qarith"] = [("qarith.always-true", "forced pass", lambda cfg: (True, "ok")),
+                        ("qarith.not-applicable", "forced skip",
+                         lambda cfg: (None, "not applicable"))]
+    monkeypatch.setattr(verify, "SUITES", suites)
+    code, out, _ = run(capsys, "verify", "--suite", "qarith", "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert (report["passed"], report["skipped"], report["failed"]) == (1, 1, 0)
+    assert [c["status"] for c in report["checks"]] == ["pass", "skip"]
+    code, out, _ = run(capsys, "verify", "--suite", "qarith")
+    assert code == 0
+    assert out.splitlines()[-1] == "1 passed, 1 skipped, 0 failed"
+
+
+def test_envelope_check_rejects_negative_r_max(capsys):
+    code, out, err = run(capsys, "envelope-check", "--p", "2", "--r-max", "-1")
+    assert code == 2
+    assert out == ""
+    assert "non-negative" in err
+
+
+def test_taylor_rejects_coefficient_outside_localization(tmp_path, capsys):
+    doc = tmp_path / "half.json"
+    doc.write_text(json.dumps({"side": "A", "coeffs": [
+        {"num": ["1"], "den": ["1"]}, {"num": ["1"], "den": ["1", "1"]}]}))
+    code, _, err = run(capsys, "taylor", str(doc), "--p", "2")
+    assert code == 2
+    assert "coefficient 1 " in err and "localization" in err
+    code, _, _ = run(capsys, "taylor", str(doc), "--p", "3", "--n-max", "1")
+    assert code == 0
+
+
+def test_frobenius_rejects_coefficient_outside_localization(tmp_path, capsys):
+    doc_json = DPElem.basis(level_minus_one_ctx(2, SIDE_APRIME), 1).to_json()
+    doc_json["terms"]["1"]["coeffs"] = [{"num": ["1"], "den": ["2"]}]
+    doc = tmp_path / "half.json"
+    doc.write_text(json.dumps(doc_json))
+    code, _, err = run(capsys, "frobenius", str(doc), "--p", "2")
+    assert code == 2
+    assert "term 1, coefficient 0 " in err and "localization" in err
 
 
 def test_taylor_rejects_zero_denominator(tmp_path, capsys):

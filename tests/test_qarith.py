@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtwist.qarith import (LocScalar, NotDivisibleError, ONE, QPoly, QRat, Q,
-                           cyclotomic, divide_by_cyclotomic_product,
+from qtwist.qarith import (KRONECKER_CUTOFF, LocScalar, NotDivisibleError, ONE,
+                           QPoly, QRat, Q, _kron_pack, _kron_unpack, _mul,
+                           _mul_kronecker, _mul_schoolbook, cyclotomic, divide_by_cyclotomic_product,
                            divide_exact, is_unit, locscalar_to_qrat,
                            q_binomial, q_factorial,
                            q_factorial_cyclotomic_exponents, q_int,
@@ -248,3 +249,80 @@ def test_q_minus_one_rewrite():
     for b, c in enumerate(ts):
         back = back + t ** b * c
     assert back == f
+
+
+# ---------------------------------------------------------------------------
+# product kernel: Kronecker substitution against the schoolbook reference
+# ---------------------------------------------------------------------------
+
+@st.composite
+def kernel_operands(draw, min_len=1, max_len=80):
+    """Trimmed coefficient tuples: 1 to 200-bit coefficients, interior zeros,
+    leading coefficient of either sign."""
+    n = draw(st.integers(min_len, max_len))
+    bound = (1 << draw(st.integers(1, 200))) - 1
+    body = draw(st.lists(st.one_of(st.just(0), st.integers(-bound, bound)),
+                         min_size=n - 1, max_size=n - 1))
+    lead = draw(st.integers(1, bound)) * draw(st.sampled_from((1, -1)))
+    return tuple(body) + (lead,)
+
+
+@given(kernel_operands(), kernel_operands())
+@settings(max_examples=150, deadline=None)
+def test_mul_matches_schoolbook(a, b):
+    ref = _mul_schoolbook(a, b)
+    assert _mul(a, b) == ref
+    assert _mul_kronecker(a, b) == ref
+    assert _mul_kronecker(a, a) == _mul_schoolbook(a, a)
+
+
+@given(st.one_of(
+    st.tuples(kernel_operands(max_len=8), kernel_operands(min_len=KRONECKER_CUTOFF)),
+    st.tuples(kernel_operands(min_len=KRONECKER_CUTOFF - 2, max_len=KRONECKER_CUTOFF + 2),
+              kernel_operands(min_len=KRONECKER_CUTOFF))))
+@settings(max_examples=80, deadline=None)
+def test_mul_matches_schoolbook_near_cutoff_and_unbalanced(ab):
+    a, b = ab
+    ref = _mul_schoolbook(a, b)
+    assert _mul(a, b) == ref == _mul(b, a)
+    assert _mul_kronecker(a, b) == ref == _mul_kronecker(b, a)
+
+
+@given(kernel_operands(min_len=KRONECKER_CUTOFF), kernel_operands(min_len=KRONECKER_CUTOFF))
+@settings(max_examples=40, deadline=None)
+def test_kronecker_products_that_cancel(a, b):
+    pa, pb = QPoly(a), QPoly(b)
+    assert pa * (pb - pb) == QPoly()
+    assert _mul_kronecker(a, (0,) * len(b)) == ()
+    # untrimmed operands: the top of the product is zero and is trimmed off
+    assert _mul_kronecker(a + (0,) * 5, b + (0,) * 3) == _mul_schoolbook(a, b)
+    assert (pa * pb - pb * pa).is_zero()
+
+
+@pytest.mark.parametrize("n", [KRONECKER_CUTOFF - 1, KRONECKER_CUTOFF, 40, 80])
+def test_kronecker_interior_cancellation(n):
+    qn = Q ** n
+    assert (qn - ONE) * (qn + ONE) == Q ** (2 * n) - ONE
+    assert q_int(n) * QPoly((-1, 1)) == qn - ONE
+
+
+@pytest.mark.parametrize("w", [1, 2, 7, 26])
+def test_kronecker_digits_at_the_extremes(w):
+    top = (1 << (8 * w - 1)) - 1
+    digits = [top, -top, -top - 1, top, 0, -1, 1, -top, -top - 1, top]
+    assert _kron_unpack(_kron_pack(digits, w), w, len(digits)) == digits
+    assert _kron_unpack(_kron_pack([-top] * 30, w), w, 30) == [-top] * 30
+
+
+@pytest.mark.parametrize("bits", [1, 4, 60, 63, 64, 200])
+@pytest.mark.parametrize("n", [24, 127, 255])
+def test_kronecker_coefficients_at_the_bound(bits, n):
+    # the middle coefficient, +-n * m^2, is just below 2^(2*bits + bitlen(n)),
+    # the bound the digit width is chosen from; for several of these shapes
+    # the sign bit is the only bit of slack in the whole bytes
+    m = (1 << bits) - 1
+    a = (m,) * n
+    b = (-m,) * n
+    assert _mul_kronecker(a, b) == _mul_schoolbook(a, b)
+    assert _mul_kronecker(a, a) == _mul_schoolbook(a, a)
+    assert _mul_kronecker(b, b)[n - 1] == n * m * m

@@ -1,7 +1,8 @@
 """Command-line driver: coefficient tables, verification suites, expansions.
 
 Exit codes are a stable contract for CI: 0 when every requested check
-passes, 1 when any check fails, 2 on usage or parse errors.  Reports are
+passes, 1 when any check fails, 2 on usage or parse errors, 3 on an
+internal error (a fault in qtwist, not in the input).  Reports are
 deterministic for a fixed configuration and seed (no timestamps), and
 check lists are always sorted by check id.
 """
@@ -14,7 +15,7 @@ import io
 import json
 import sys
 
-from .coordring import CoordPoly, SIDE_APRIME
+from .coordring import CoordPoly, SIDE_A, SIDE_APRIME
 from .divpow import DPElem, Y_LEVEL
 from .frobdiv import (FrobCoeffTable, MembershipError, default_r_max,
                       divided_frobenius, envelope_basis_check,
@@ -151,6 +152,9 @@ def cmd_taylor(args):
         f = CoordPoly.from_json(data)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         raise UsageError(f"not a coordinate-polynomial document: {e}")
+    if f.side != SIDE_A:
+        raise UsageError(f'taylor expands a polynomial over A: set "side" to '
+                         f'"{SIDE_A}" in the document (it is "{f.side}")')
     _check_localized(f, args.p)
     expansion = taylor(f, args.n_max, args.p, args.m)
     if args.format == "json":
@@ -170,10 +174,16 @@ def cmd_frobenius(args):
     ctx = e.ctx
     if ctx.p != args.p:
         raise UsageError(f"document prime {ctx.p} != --p {args.p}")
-    if ctx.m != 1 or ctx.side != SIDE_APRIME or ctx.y_mode != Y_LEVEL:
+    if ctx.m != 1 or ctx.side != SIDE_APRIME or ctx.y_mode != Y_LEVEL or ctx.qexp != 1:
         raise UsageError("input must be a level -1 element over the pullback side")
     for n, c in sorted(e.terms.items()):
         _check_localized(c, ctx.p, f"term {n}, ")
+    top = max(e.terms, default=0)
+    if ctx.p * top > ctx.cap:
+        raise UsageError(
+            f"term {top} maps to divided-power indices up to {ctx.p * top}, above "
+            f'the document\'s cap {ctx.cap}: raise "cap" in its "ctx" to at least '
+            f"{ctx.p * top}")
     img = divided_frobenius(e)
     if args.format == "json":
         _emit(args, json.dumps(img.to_json(), indent=2) + "\n")
@@ -275,9 +285,11 @@ def main(argv=None):
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    except Exception as e:
+        import traceback   # here, not at the top: it would add to every start-up
+        traceback.print_exc()
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -15,17 +15,16 @@ rounded up to whole bytes so that packing and unpacking go through
 ``int.to_bytes``/``int.from_bytes``.  Below the cutoff, or when one
 operand is short, the conversions cost more than the loop.
 
-Fractions num/den of such polynomials are kept in a canonical form:
-
-* gcd(num, den) over Q[q] removed,
-* gcd of the integer contents of num and den removed,
-* leading coefficient of den positive.
-
-With these invariants equality is structural.  ``QRat`` is the full
-fraction field Q(q) and serves as the independent oracle; ``LocScalar``
-is the same data seen as an element of the localization of Z[q] at the
-prime (p, q-1) -- membership and unit tests are relative to a prime p
-supplied at the call site.
+Fractions num/den of such polynomials are kept in a canonical form: num and
+den coprime over Q[q], their integer contents coprime, lc(den) > 0; so
+equality is structural.  Untrusted input (the public constructor,
+``from_json``) is reduced by a gcd of num and den in ``_reduce_pair``.
+Operations on canonical operands use Henrici's method (JACM 1956; Knuth,
+TAOCP 2, 4.5.1), as ``fractions.Fraction`` does: a product takes the gcds
+of each numerator with the other denominator, a sum the gcd g of the
+denominators and then that of g with the new numerator, and neither takes
+a gcd of the full result.  ``QRat`` is Q(q); ``LocScalar`` is the same
+data in the localization of Z[q] at (p, q-1), p given by the caller.
 
 q-analogs: ``q_int(n)`` = 1 + q + ... + q^(n-1), ``q_factorial``,
 ``q_binomial`` (Gaussian binomial, computed by the q-Pascal recurrence),
@@ -512,24 +511,10 @@ def _divisors(n):
 # canonical fractions
 # ---------------------------------------------------------------------------
 
-def _reduce_pair(num, den):
-    """Canonicalize a (num, den) pair of coefficient tuples."""
-    if not den:
-        raise ZeroDivisionError("zero denominator")
+def _coprime(num, den):
+    """Canonical form of a pair coprime over Q[q]: content out, lc(den) > 0."""
     if not num:
         return (), (1,)
-    if len(den) == 1:                      # constant denominator: content only
-        c = math.gcd(_content(num), den[0])
-        if den[0] < 0:
-            c = -c
-        if c != 1:
-            num = tuple(x // c for x in num)
-            den = (den[0] // c,)
-        return num, den
-    g = _gcd(num, den)
-    if len(g) > 1 or g[0] != 1:
-        num = _divexact(num, g)
-        den = _divexact(den, g)
     c = math.gcd(_content(num), _content(den))
     if den[-1] < 0:
         c = -c
@@ -539,24 +524,30 @@ def _reduce_pair(num, den):
     return num, den
 
 
+def _reduce_pair(num, den):
+    """Canonicalize an arbitrary (num, den) pair of coefficient tuples."""
+    if not den:
+        raise ZeroDivisionError("zero denominator")
+    if num and len(den) > 1:
+        g = _gcd(num, den)
+        if g != (1,):
+            num, den = _divexact(num, g), _divexact(den, g)
+    return _coprime(num, den)
+
+
 class _Frac:
     """Shared canonical-fraction machinery for QRat and LocScalar."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=ONE, _reduced=False):
+    def __init__(self, num, den=ONE):
         if isinstance(num, int):
             num = QPoly(num)
         if isinstance(den, int):
             den = QPoly(den)
         if isinstance(num, _Frac):
             num, den = num.num, num.den * den
-        if _reduced:
-            self.num, self.den = num, den
-            return
-        n, d = _reduce_pair(num.coeffs, den.coeffs)
-        self.num = QPoly(n)
-        self.den = QPoly(d)
+        self.num, self.den = map(QPoly._raw, _reduce_pair(num.coeffs, den.coeffs))
 
     def is_zero(self):
         return self.num.is_zero()
@@ -580,23 +571,32 @@ class _Frac:
             return type(self)(other)
         return NotImplemented
 
+    @classmethod
+    def _from_pair(cls, num, den):
+        """Trusted constructor: (num, den) is a canonical pair of tuples."""
+        self = object.__new__(cls)
+        self.num, self.den = QPoly._raw(num), QPoly._raw(den)
+        return self
+
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den == ONE and other.den == ONE:
-            return type(self)(self.num + other.num, ONE, _reduced=True)
-        # reduce via gcd of denominators, as fractions.Fraction does
-        g = QPoly(_gcd(self.den.coeffs, other.den.coeffs))
-        da = self.den.divexact(g)
-        db = other.den.divexact(g)
-        num = self.num * db + other.num * da
-        return type(self)(num, da * other.den)
+        na, da, nb, db = self.num.coeffs, self.den.coeffs, other.num.coeffs, other.den.coeffs
+        if da == (1,) and db == (1,):
+            return self._from_pair(_add(na, nb), da)
+        g = _gcd(da, db)
+        s, dbg = (da, db) if g == (1,) else (_divexact(da, g), _divexact(db, g))
+        t = _add(_mul(na, dbg), _mul(nb, s))
+        g2 = _gcd(t, g)          # gcd(t, s * db), since s and dbg are prime to t
+        if g2 != (1,):
+            t, db = _divexact(t, g2), _divexact(db, g2)
+        return self._from_pair(*_coprime(t, _mul(s, db)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return type(self)(-self.num, self.den, _reduced=True)
+        return self._from_pair(_neg(self.num.coeffs), self.den.coeffs)
 
     def __sub__(self, other):
         return self + (-other)
@@ -608,39 +608,43 @@ class _Frac:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den == ONE and other.den == ONE:
-            return type(self)(self.num * other.num, ONE, _reduced=True)
-        # cross-reduce before multiplying to keep intermediates small
-        g1 = QPoly(_gcd(self.num.coeffs, other.den.coeffs))
-        g2 = QPoly(_gcd(other.num.coeffs, self.den.coeffs))
-        num = self.num.divexact(g1) * other.num.divexact(g2)
-        den = self.den.divexact(g2) * other.den.divexact(g1)
-        return type(self)(num, den)
+        na, da, nb, db = self.num.coeffs, self.den.coeffs, other.num.coeffs, other.den.coeffs
+        if da == (1,) and db == (1,):
+            return self._from_pair(_mul(na, nb), da)
+        # cross-reduce: the products of the coprime parts are coprime
+        g1 = _gcd(na, db)
+        if g1 != (1,):
+            na, db = _divexact(na, g1), _divexact(db, g1)
+        g2 = _gcd(nb, da)
+        if g2 != (1,):
+            nb, da = _divexact(nb, g2), _divexact(da, g2)
+        return self._from_pair(*_coprime(_mul(na, nb), _mul(da, db)))
 
     __rmul__ = __mul__
 
+    def _inverse(self):
+        if not self.num:
+            raise ZeroDivisionError("division by zero fraction")
+        return self._from_pair(*_coprime(self.den.coeffs, self.num.coeffs))
+
     def __truediv__(self, other):
         other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero fraction")
-        return self * type(self)(other.den, other.num)
+        return NotImplemented if other is NotImplemented else self * other._inverse()
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
-        return other / self
+        return NotImplemented if other is NotImplemented else other * self._inverse()
 
     def __pow__(self, n):
         if n < 0:
-            return type(self)(self.den, self.num) ** (-n)
-        return type(self)(self.num ** n, self.den ** n)
+            return self._inverse() ** (-n)
+        return self._from_pair(*_coprime((self.num ** n).coeffs, (self.den ** n).coeffs))
 
     # -- substitutions / evaluation -----------------------------------------
 
     def subs_qpow(self, k):
         """Substitute q -> q^k.  Canonical form is preserved."""
-        return type(self)(self.num.stretch(k), self.den.stretch(k), _reduced=True)
+        return self._from_pair(self.num.stretch(k).coeffs, self.den.stretch(k).coeffs)
 
     def at_one(self):
         """Value at q = 1, as an exact Fraction."""
@@ -687,7 +691,7 @@ class LocScalar(_Frac):
 
 
 def locscalar_to_qrat(z):
-    return QRat(z.num, z.den, _reduced=True)
+    return QRat._from_pair(z.num.coeffs, z.den.coeffs)
 
 
 ZERO_SCALAR = LocScalar(ZERO)
@@ -713,21 +717,17 @@ def divide_exact(z, d):
     q-analog (divisibility iff polynomial division of the numerator is
     exact; valid because the denominator is a unit, coprime to d).
     """
-    if isinstance(d, int):
-        if z.is_zero():
-            return z
-        for c in z.num.coeffs:
-            if c % d:
-                raise NotDivisibleError(
-                    f"numerator coefficient {c} not divisible by {d}", witness=c)
-        num = QPoly(tuple(c // d for c in z.num.coeffs))
-        return type(z)(num, z.den, _reduced=True)
-    if isinstance(d, QPoly):
-        if z.is_zero():
-            return z
-        quo = z.num.divexact(d)       # raises NotDivisibleError with witness
-        return type(z)(quo, z.den)
-    raise TypeError(f"cannot divide by {type(d).__name__}")
+    if not isinstance(d, (int, QPoly)):
+        raise TypeError(f"cannot divide by {type(d).__name__}")
+    if z.is_zero():
+        return z
+    if isinstance(d, QPoly):          # raises NotDivisibleError with witness
+        return z._from_pair(z.num.divexact(d).coeffs, z.den.coeffs)
+    for c in z.num.coeffs:
+        if c % d:
+            raise NotDivisibleError(
+                f"numerator coefficient {c} not divisible by {d}", witness=c)
+    return z._from_pair(tuple(c // d for c in z.num.coeffs), z.den.coeffs)
 
 
 def divide_by_cyclotomic_product(z, factors):
@@ -750,7 +750,7 @@ def divide_by_cyclotomic_product(z, factors):
                 num = num.divexact(phi)
             except NotDivisibleError:
                 extra = extra * phi
-    return type(z)(num, z.den * extra, _reduced=True)
+    return z._from_pair(num.coeffs, (z.den * extra).coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -125,6 +125,12 @@ def test_frobenius_rejects_wrong_level(tmp_path, capsys):
     code, _, err = run(capsys, "frobenius", str(doc), "--p", "2")
     assert code == 2
     assert "level -1" in err
+    doc_json = DPElem.basis(level_minus_one_ctx(2, SIDE_APRIME), 1).to_json()
+    doc_json["ctx"]["qexp"] = 2
+    doc.write_text(json.dumps(doc_json))
+    code, _, err = run(capsys, "frobenius", str(doc), "--p", "2")
+    assert code == 2
+    assert "level -1" in err
 
 
 def test_envelope_check_cli(capsys):
@@ -237,3 +243,42 @@ def test_frobenius_rejects_negative_index(tmp_path, capsys):
     code, _, err = run(capsys, "frobenius", str(doc), "--p", "2")
     assert code == 2
     assert "negative" in err
+
+
+def test_taylor_rejects_pullback_side(tmp_path, capsys):
+    doc = tmp_path / "xprime.json"
+    doc.write_text(json.dumps(CoordPoly.x(SIDE_APRIME).to_json()))
+    code, out, err = run(capsys, "taylor", str(doc), "--p", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and '"side"' in err
+
+
+def test_frobenius_rejects_image_above_cap(tmp_path, capsys):
+    ctx = level_minus_one_ctx(5, SIDE_APRIME)
+    assert ctx.cap == 16
+    doc = tmp_path / "w4.json"
+    doc.write_text(json.dumps(DPElem.basis(ctx, 4).to_json()))
+    code, out, err = run(capsys, "frobenius", str(doc), "--p", "5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "cap" in err and "at least 20" in err
+    doc_json = DPElem.basis(ctx, 4).to_json()
+    doc_json["ctx"]["cap"] = 20
+    doc.write_text(json.dumps(doc_json))
+    code, _, _ = run(capsys, "frobenius", str(doc), "--p", "5")
+    assert code == 0
+
+
+def test_internal_error_exits_three(capsys, monkeypatch):
+    import qtwist.cli as cli
+    from qtwist.coordring import SideMismatchError
+
+    def broken(name, cfg):
+        raise SideMismatchError("forced internal fault")
+
+    monkeypatch.setattr(cli, "run_suite", broken)
+    code, out, err = run(capsys, "verify", "--suite", "qarith")
+    assert code == 3
+    assert out == ""
+    assert "internal error: SideMismatchError: forced internal fault" in err

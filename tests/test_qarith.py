@@ -326,3 +326,139 @@ def test_kronecker_coefficients_at_the_bound(bits, n):
     assert _mul_kronecker(a, b) == _mul_schoolbook(a, b)
     assert _mul_kronecker(a, a) == _mul_schoolbook(a, a)
     assert _mul_kronecker(b, b)[n - 1] == n * m * m
+
+
+# ---------------------------------------------------------------------------
+# fraction arithmetic on canonical operands, against full reduction
+# ---------------------------------------------------------------------------
+
+# Denominators are products of small factors drawn from a short list, so two
+# of them often share a factor and the operations' gcds are nontrivial; the
+# integer unit in front makes many of them non-primitive or negative-leading.
+FACTORS = [cyclotomic(d) for d in (1, 2, 3, 4, 6)] + [QPoly([1, 2]), QPoly([2, 0, 1])]
+
+
+@st.composite
+def factored_polys(draw):
+    out = QPoly(draw(st.integers(-6, 6).filter(bool)))
+    for _ in range(draw(st.integers(0, 3))):
+        out = out * draw(st.one_of(
+            st.sampled_from(FACTORS),
+            st.lists(st.integers(-3, 3), min_size=2, max_size=3).map(QPoly).filter(bool)))
+    return out
+
+
+@st.composite
+def fracs(draw, cls):
+    num = draw(st.one_of(st.just(QPoly()), factored_polys()))
+    den = draw(st.one_of(st.just(ONE), factored_polys()))
+    return cls(num, den)
+
+
+def reduced_again(z):
+    return type(z)(z.num, z.den)
+
+
+def same(x, y):
+    return type(x) is type(y) and (x.num.coeffs, x.den.coeffs) == (y.num.coeffs, y.den.coeffs)
+
+
+def reference_results(a, b, n):
+    """Each operation of a and b next to the full reduction of its plain formula."""
+    cls = type(a)
+    out = [(a + b, cls(a.num * b.den + b.num * a.den, a.den * b.den)),
+           (a - b, cls(a.num * b.den - b.num * a.den, a.den * b.den)),
+           (a * b, cls(a.num * b.num, a.den * b.den)),
+           (a ** n, cls(a.num ** n, a.den ** n))]
+    if b:
+        out += [(a / b, cls(a.num * b.den, a.den * b.num)),
+                (b ** -n, cls(b.den ** n, b.num ** n))]
+    return out
+
+
+@pytest.mark.parametrize("cls", [LocScalar, QRat])
+@given(data=st.data(), n=st.integers(0, 3))
+@settings(max_examples=150, deadline=None)
+def test_operations_match_full_reduction(cls, data, n):
+    a, b, c = data.draw(fracs(cls)), data.draw(fracs(cls)), data.draw(fracs(cls))
+    # c - a by full reduction: a sum with a, its denominator sharing factors
+    # with a's and its numerator cancelling against them
+    c_minus_a = cls(c.num * a.den - a.num * c.den, a.den * c.den)
+    for got, want in reference_results(a, b, n) + reference_results(a, c_minus_a, n):
+        assert same(got, want)
+        assert same(got, reduced_again(got))
+    assert same(a + c_minus_a, c)
+    assert same(a + b, b + a) and same(a * b, b * a)
+    assert (a - a).is_zero() and same(a - a, cls(0))
+
+
+@pytest.mark.parametrize("cls", [LocScalar, QRat])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_operations_agree_with_sympy(cls, data):
+    sympy = pytest.importorskip("sympy")
+    q = sympy.Symbol("q")
+
+    def expr(z):
+        return (sympy.Poly(list(reversed(z.num.coeffs)) or [0], q).as_expr()
+                / sympy.Poly(list(reversed(z.den.coeffs)), q).as_expr())
+
+    a, b = data.draw(fracs(cls)), data.draw(fracs(cls))
+    ea, eb = expr(a), expr(b)
+    pairs = [(a + b, ea + eb), (a - b, ea - eb), (a * b, ea * eb), (a ** 2, ea ** 2)]
+    if b:
+        pairs.append((a / b, ea / eb))
+    for got, want in pairs:
+        assert sympy.cancel(expr(got) - want) == 0
+
+
+@pytest.mark.parametrize("num, den", [
+    (QPoly([3]), QPoly([-2, -2])),             # -2q - 2: negative and non-primitive
+    (QPoly([4, 4]), QPoly([-6, 0, 6])),        # content and factor (q + 1) shared
+    (QPoly([1, 1]), QPoly([2, 0, 2])),
+    (QPoly([0, 5]), QPoly([-1])),
+])
+def test_operations_on_hand_picked_fractions(num, den):
+    a = LocScalar(num, den)
+    assert a.den.coeffs[-1] > 0
+    for b in (a, -a, LocScalar(QPoly([1, 1]), QPoly([4, 0, -4])), LocScalar(7), LocScalar(0)):
+        for got, want in reference_results(a, b, 3):
+            assert same(got, want)
+    assert (a + (-a)).is_zero() and (a + (-a)).den == ONE
+    qm1 = QPoly([-1, 1])
+    assert same(LocScalar(1, qm1) + LocScalar(QPoly([0, -1]), qm1), LocScalar(-1))
+    assert same(a / a, LocScalar(1)) and same(a ** 0, LocScalar(1))
+
+
+@given(fracs(LocScalar), st.integers(1, 4), st.sampled_from([2, 3, 5, 7]),
+       st.one_of(st.sampled_from(FACTORS), factored_polys()),
+       st.dictionaries(st.integers(1, 9), st.integers(0, 2), max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_trusted_producers_return_canonical_values(a, k, d, poly, factors):
+    for z in (-a, a.subs_qpow(k), locscalar_to_qrat(a), a ** 2, a.subs_qpow(k) * a):
+        assert same(z, reduced_again(z))
+    assert type(locscalar_to_qrat(a)) is QRat
+    scaled = LocScalar(a.num * d, a.den)
+    for z, divisor in ((scaled, d), (a * poly, poly), (LocScalar(a.num * poly, a.den), poly)):
+        try:
+            out = divide_exact(z, divisor)
+        except NotDivisibleError:
+            continue
+        assert same(out, reduced_again(out))
+        assert out * divisor == z
+    out = divide_by_cyclotomic_product(a, factors)
+    assert same(out, reduced_again(out))
+    prod = ONE
+    for e, m in factors.items():
+        prod = prod * cyclotomic(e) ** m
+    assert out * prod == a
+
+
+def test_reflected_division_by_an_unsupported_type():
+    z = LocScalar(QPoly((1, 1)))
+    with pytest.raises(TypeError):
+        1.5 / z
+    with pytest.raises(TypeError):
+        z / 1.5
+    assert 2 / z == LocScalar(2, QPoly((1, 1)))
+    assert QPoly((1, 1)) / z == LocScalar(1)

@@ -24,6 +24,7 @@ from .diffcalc import taylor
 from .verify import SUITE_NAMES, VerifyConfig, run_suite
 
 PRIMES = (2, 3, 5, 7)
+DEFAULTS = VerifyConfig()    # the defaults of --p, --m, --n-max and of verify's bounds
 
 
 class UsageError(Exception):
@@ -31,11 +32,11 @@ class UsageError(Exception):
 
 
 def _add_common(sp, m=False, n_max=False, with_csv=False):
-    sp.add_argument("--p", type=int, default=2, help="prime (2, 3, 5 or 7)")
+    sp.add_argument("--p", type=int, default=DEFAULTS.p, help="prime (2, 3, 5 or 7)")
     if m:
-        sp.add_argument("--m", type=int, default=1, help="level parameter (0..3)")
+        sp.add_argument("--m", type=int, default=DEFAULTS.m, help="level parameter (0..3)")
     if n_max:
-        sp.add_argument("--n-max", type=int, default=8, dest="n_max",
+        sp.add_argument("--n-max", type=int, default=DEFAULTS.n_max, dest="n_max",
                         help="index / order bound")
     sp.add_argument("--format", default="text",
                     choices=("json", "csv", "text") if with_csv else ("json", "text"))
@@ -245,11 +246,12 @@ def build_parser():
     sp = sub.add_parser("verify", help="run a named check suite")
     sp.add_argument("--suite", choices=SUITE_NAMES, default="all")
     _add_common(sp, m=True, n_max=True, with_csv=True)
-    sp.add_argument("--trunc-N", type=int, default=2, dest="trunc_N",
+    sp.add_argument("--trunc-N", type=int, default=DEFAULTS.trunc_N, dest="trunc_N",
                     help="adic truncation order")
-    sp.add_argument("--deg-d", type=int, default=1, dest="deg_d",
+    sp.add_argument("--deg-d", type=int, default=DEFAULTS.deg_d, dest="deg_d",
                     help="x-degree bound for truncated probes")
-    sp.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
+    sp.add_argument("--seed", type=int, default=DEFAULTS.seed,
+                    help="seed for randomized suites")
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("taylor", help="truncated Taylor expansion of an input")

@@ -9,9 +9,14 @@ and composition is governed by
 
     D^<1> o f = (p^m)_q partial(f) + sigma(f) D^<1>,      D^<n1> o D^<n2> = D^<n1+n2>
 
-where partial and sigma are the q^(p^m)-derivative and twist of A.  The
-commutation rule is applied recursively on monomial coefficients (the
-x-degree strictly drops, so this terminates) and memoized.
+where partial and sigma are the q^(p^m)-derivative and twist of A.  Since
+partial sigma = Q sigma partial with Q = q^(p^m), the q-binomial theorem
+for Q-commuting operators (Kac and Cheung, Quantum Calculus, 2002) turns
+the rule into the twisted Leibniz formula
+
+    D^<n> o f = sum_{j<=n} C(n, j)_Q sigma^j(D^<n-j>(f)) D^<j>,
+
+which ``op_compose`` evaluates with the D^<i>(f) read off ``taylor``.
 
 The divided-power algebra of matching level is the predual: the pairing
 <D^<n>, w[k]> is 1 when n = k and 0 otherwise, extended A-bilinearly,
@@ -22,10 +27,9 @@ f -> sum_i D^<i>(f) w[i].
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from .qarith import LocScalar, QPoly, q_int, q_int_pow
-from .coordring import CoordPoly, SIDE_A, SparseModule, accumulate, q_derivative
+from .qarith import LocScalar, QPoly, q_binomial_pow, q_int
+from .coordring import (CoordPoly, SIDE_A, SparseModule, accumulate, q_derivative,
+                        sigma_power)
 from .divpow import DPContext, DPElem, Y_LEVEL
 
 
@@ -68,73 +72,33 @@ class TwistedDiffOp(SparseModule):
         return " + ".join(f"({c})*D<{n}>" for n, c in sorted(self.terms.items()))
 
 
-@lru_cache(maxsize=None)
-def _commute_monomial(p, m, n, d):
-    """Normal form of D^<n> o x^d as a tuple of (k, x-degree, scalar).
-
-    Recursion on the single commutation rule for D^<1>; the x-degree in
-    each term is d - (n - k).
-    """
-    if n == 0:
-        return ((0, d, QPoly(1)),)
-    if d == 0:
-        return ((n, 0, QPoly(1)),)
-    k = p ** m
-    mult = q_int(k)                       # (p^m)_q
-    lower = _commute_monomial(p, m, n - 1, d - 1)
-    same = _commute_monomial(p, m, n - 1, d)
-    out = {}
-    c1 = mult * q_int_pow(d, k)           # (p^m)_q (d)_{q^{p^m}}
-    for j, deg, s in lower:
-        key = (j, deg)
-        add = s * c1
-        out[key] = out.get(key, QPoly()) + add
-    twist = QPoly((0,) * (k * d) + (1,))  # q^{p^m d}
-    for j, deg, s in same:
-        key = (j + 1, deg)
-        add = s * twist
-        out[key] = out.get(key, QPoly()) + add
-    return tuple((j, deg, s) for (j, deg), s in sorted(out.items()) if s)
-
-
 def op_compose(d1, d2):
-    """Composition in normal form; coefficients migrate left through the
-    commutation rule."""
+    """Composition in normal form, by the twisted Leibniz formula."""
     d1._check(d2)
     p, m = d1.p, d1.m
+    k = p ** m
     out = {}
-    for n1, f1 in d1.terms.items():
-        for n2, f2 in d2.terms.items():
-            for deg, c in enumerate(f2.coeffs):
-                if c.is_zero():
-                    continue
-                for k, xdeg, s in _commute_monomial(p, m, n1, deg):
-                    accumulate(out, k + n2, f1 * CoordPoly.monomial(c * s, xdeg))
+    for n2, f2 in d2.terms.items():
+        derivs = taylor(f2, max(d1.terms, default=0), p, m).terms   # i -> D^<i>(f2)
+        for n1, f1 in d1.terms.items():
+            for i, g in derivs.items():
+                j = n1 - i
+                if j >= 0:
+                    accumulate(out, j + n2,
+                               f1 * (sigma_power(g, k * j) * q_binomial_pow(n1, j, k)))
     return TwistedDiffOp(p, m, out)
 
 
 def op_apply(d, f):
-    """Apply the operator to f in A."""
+    """Apply the operator to f in A: pair it with the Taylor expansion of f."""
     if f.side != SIDE_A:
         raise ValueError("operators act on side A")
-    p, m = d.p, d.m
-    k = p ** m
-    mult = LocScalar(q_int(k))
-    out = CoordPoly((), SIDE_A)
-    by_order = sorted(d.terms)
-    current = f
-    reached = 0
-    for n in by_order:
-        while reached < n:
-            current = q_derivative(current, k) * mult
-            reached += 1
-        out = out + d.terms[n] * current
-    return out
+    return pairing(d, taylor(f, max(d.terms, default=0), d.p, d.m))
 
 
-def taylor(f, N, p, m, cap=None):
+def taylor(f, N, p, m):
     """Truncated expansion sum_{i<=N} D^<i>(f) w[i] at level -m."""
-    ctx = DPContext(p, m, Y_LEVEL, SIDE_A, 1, cap=cap if cap else max(N, 16))
+    ctx = DPContext(p, m, Y_LEVEL, SIDE_A, 1, cap=max(N, 16))
     k = p ** m
     mult = LocScalar(q_int(k))
     terms = {}
@@ -152,14 +116,8 @@ def comult(e, n1_cap, n2_cap):
 
     Returns a dict {(i1, i2): CoordPoly} with i1 <= n1_cap, i2 <= n2_cap.
     """
-    out = {}
-    for i, c in e.terms.items():
-        for i1 in range(i + 1):
-            i2 = i - i1
-            if i1 > n1_cap or i2 > n2_cap:
-                continue
-            accumulate(out, (i1, i2), c)
-    return {k: v for k, v in out.items() if not v.is_zero()}
+    return {(i1, i - i1): c for i, c in e.terms.items()
+            for i1 in range(max(0, i - n2_cap), min(i, n1_cap) + 1)}
 
 
 def pairing(d, e):

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .qarith import (LocScalar, ONE, QPoly, QRat, q_binomial, q_binomial_pow,
+from .qarith import (LocScalar, ONE, QPoly, q_binomial, q_binomial_pow,
                      q_factorial, q_int_pow)
 from .coordring import (CoordPoly, DenseModule, SIDE_A, SIDE_APRIME,
                         SideMismatchError, SparseModule, accumulate, pullback_map)
@@ -208,18 +208,18 @@ def _struct_consts_closed(n1, n2, k):
 
 @lru_cache(maxsize=None)
 def _struct_consts_oracle(n1, n2):
-    """Structure constants recomputed in Q(q), at twist q.
+    """Structure constants recomputed as fractions in q, at twist q.
 
     Expands the product of twisted powers by the alternating-sum rule and
     divides by the factorials that turn twisted powers into divided ones.
     Raises IntegralityError if a constant fails to be a polynomial.
     """
-    denom = QRat(q_factorial(n1) * q_factorial(n2))
+    denom = LocScalar(q_factorial(n1) * q_factorial(n2))
     out = []
     for i in range(min(n1, n2) + 1):
-        scalar = QRat(q_factorial(i) * q_binomial(n1, i) * q_binomial(n2, i)
-                      ).num.shifted(i * (i - 1) // 2)
-        c = QRat(scalar * q_factorial(n1 + n2 - i)) / denom
+        scalar = (q_factorial(i) * q_binomial(n1, i) * q_binomial(n2, i)
+                  ).shifted(i * (i - 1) // 2)
+        c = LocScalar(scalar * q_factorial(n1 + n2 - i)) / denom
         if not c.is_polynomial():
             raise IntegralityError(
                 f"structure constant ({n1},{n2},{i}) is not integral: {c}")

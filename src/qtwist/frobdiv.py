@@ -285,17 +285,20 @@ def delta_iterates(p, r_max, cap=None):
         out.append(delta_dp(out[-1]))
     return tuple(out)
 
-def envelope_basis_check(r_max, p, cap=None, val_cap=32):
+
+VALUATION_CAP = 32      # top index p^(r+1) of the envelope check's valuation rows
+
+
+def envelope_basis_check(r_max, p):
     """Congruences delta^r(w) = c_r w[p^r] + lower terms, c_r a unit.
 
     Also records, at q = 1, the p-adic valuations of the top coefficients
     of phi(w[p^r]) and (w[p^r])^p (expected p^(r+1) and 1); these rows
-    are only produced while p^(r+1) <= val_cap, since they need the
+    are only produced while p^(r+1) <= VALUATION_CAP, since they need the
     coefficient table up to index p^r.  Returns a report dict; raises
     nothing, failures are flagged in the rows.
     """
-    if cap is None:
-        cap = max(p ** r_max, min(p ** (r_max + 1), val_cap), 16)
+    cap = max(p ** r_max, min(p ** (r_max + 1), VALUATION_CAP), 16)
     ctx = level_minus_one_ctx(p, cap=cap)
     iterates = delta_iterates(p, r_max, cap=cap)
     rows = []
@@ -309,7 +312,7 @@ def envelope_basis_check(r_max, p, cap=None, val_cap=32):
         unit_ok = is_unit(c0, p)
         row = {"r": r, "congruent": support_ok and constant_ok,
                "c": str(c0), "c_unit": unit_ok}
-        if p ** (r + 1) <= min(cap, val_cap):
+        if p ** (r + 1) <= VALUATION_CAP:
             basis = DPElem.basis(ctx, target)
             top_phi = phi_dp(basis).coeff(p ** (r + 1)).coeff(0)
             top_pow = (basis ** p).coeff(p ** (r + 1)).coeff(0)
@@ -324,16 +327,14 @@ def envelope_basis_check(r_max, p, cap=None, val_cap=32):
     return {"p": p, "r_max": r_max, "ok": ok, "rows": rows}
 
 
-def v_basis_element(n, p, cap=None):
+def v_basis_element(n, p):
     """v_n: product of (delta^r(w))^(digit r of n in base p)."""
     digits = []
     t = n
     while t:
         digits.append(t % p)
         t //= p
-    if cap is None:
-        cap = max(n, 16)
-    iterates = delta_iterates(p, max(len(digits) - 1, 0), cap=cap)
+    iterates = delta_iterates(p, max(len(digits) - 1, 0), cap=max(n, 16))
     out = DPElem.one(iterates[0].ctx)
     for r, a in enumerate(digits):
         out = out * iterates[r] ** a

@@ -23,8 +23,8 @@ Operations on canonical operands use Henrici's method (JACM 1956; Knuth,
 TAOCP 2, 4.5.1), as ``fractions.Fraction`` does: a product takes the gcds
 of each numerator with the other denominator, a sum the gcd g of the
 denominators and then that of g with the new numerator, and neither takes
-a gcd of the full result.  ``QRat`` is Q(q); ``LocScalar`` is the same
-data in the localization of Z[q] at (p, q-1), p given by the caller.
+a gcd of the full result.  ``LocScalar`` is such a fraction regarded in
+the localization of Z[q] at (p, q-1), p given by the caller.
 
 q-analogs: ``q_int(n)`` = 1 + q + ... + q^(n-1), ``q_factorial``,
 ``q_binomial`` (Gaussian binomial, computed by the q-Pascal recurrence),
@@ -536,7 +536,7 @@ def _reduce_pair(num, den):
 
 
 class _Frac:
-    """Shared canonical-fraction machinery for QRat and LocScalar."""
+    """Canonical-fraction machinery, the base of LocScalar."""
 
     __slots__ = ("num", "den")
 
@@ -671,12 +671,6 @@ class _Frac:
         return cls(QPoly.from_json(data["num"]), QPoly.from_json(data["den"]))
 
 
-class QRat(_Frac):
-    """Element of the fraction field Q(q).  The oracle for exact identities."""
-
-    __slots__ = ()
-
-
 class LocScalar(_Frac):
     """Element of Q(q) regarded in the localization Z[q]_(p,q-1).
 
@@ -688,10 +682,6 @@ class LocScalar(_Frac):
 
     def in_localization(self, p):
         return self.den.at_one() % p != 0
-
-
-def locscalar_to_qrat(z):
-    return QRat._from_pair(z.num.coeffs, z.den.coeffs)
 
 
 ZERO_SCALAR = LocScalar(ZERO)

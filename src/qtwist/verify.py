@@ -27,7 +27,7 @@ from . import frobdiv as fd
 from . import qarith as qa
 from .coordring import CoordPoly, SIDE_A, SIDE_APRIME
 from .divpow import DPContext, DPElem, Y_LEVEL, Y_STANDARD
-from .qarith import LocScalar, QPoly, QRat, q_int
+from .qarith import LocScalar, QPoly, q_int
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,6 @@ class VerifyConfig:
     trunc_N: int = 2
     deg_d: int = 1
     seed: int = 0
-    taylor_order: int = 5
     commute_samples: int = 500
     module_samples: int = 100
     taylor_samples: int = 200
@@ -79,7 +78,7 @@ def check_factorial_frobenius(cfg):
 def check_binomial_quotient(cfg):
     for n in range(13):
         for k in range(n + 1):
-            quo = QRat(qa.q_factorial(n)) / QRat(qa.q_factorial(k) * qa.q_factorial(n - k))
+            quo = LocScalar(qa.q_factorial(n)) / (qa.q_factorial(k) * qa.q_factorial(n - k))
             if not quo.is_polynomial() or quo.num != qa.q_binomial(n, k):
                 return False, f"factorial quotient disagrees at ({n},{k})"
     return True, "factorial quotient is polynomial and matches, n <= 12"
@@ -103,19 +102,39 @@ def check_division_roundtrip(cfg):
     return True, "200 samples, divisors p and (p)_q; 1 not divisible by p"
 
 
+EVAL_PRIME = 2 ** 61 - 1
+
+
+def _value_mod(z, t):
+    """z at q = t modulo EVAL_PRIME by Horner's rule; None if its denominator vanishes."""
+    num = den = 0
+    for c in reversed(z.num.coeffs):
+        num = (num * t + c) % EVAL_PRIME
+    for c in reversed(z.den.coeffs):
+        den = (den * t + c) % EVAL_PRIME
+    return num * pow(den, -1, EVAL_PRIME) % EVAL_PRIME if den else None
+
+
 def check_fraction_agreement(cfg):
+    """Fraction +, -, *, / against their values at a random point modulo a
+    prime (Schwartz, JACM 1980); the evaluation shares no code with qarith."""
     rng = cfg.rng("qarith.fraction-field-agreement")
+    points = cfg.rng("qarith.fraction-field-agreement/points")
     p = cfg.p
     for i in range(1000):
         z1 = qa.random_locscalar(rng, p, 3, 5)
         z2 = qa.random_locscalar(rng, p, 3, 5)
-        r1, r2 = qa.locscalar_to_qrat(z1), qa.locscalar_to_qrat(z2)
-        pairs = [(z1 + z2, r1 + r2), (z1 - z2, r1 - r2), (z1 * z2, r1 * r2)]
-        if not z2.is_zero():
-            pairs.append((z1 / z2, r1 / r2))
-        for lz, rz in pairs:
-            if (lz.num, lz.den) != (rz.num, rz.den):
-                return False, f"disagreement at sample {i}"
+        results = [z1 + z2, z1 - z2, z1 * z2] + ([] if z2.is_zero() else [z1 / z2])
+        while True:                   # a new point wherever a denominator vanishes
+            t = points.randrange(EVAL_PRIME)
+            v1, v2, *got = (_value_mod(z, t) for z in [z1, z2] + results)
+            if None not in (v1, v2, *got) and (v2 or z2.is_zero()):
+                break
+        want = [(v1 + v2) % EVAL_PRIME, (v1 - v2) % EVAL_PRIME, v1 * v2 % EVAL_PRIME]
+        if v2:
+            want.append(v1 * pow(v2, -1, EVAL_PRIME) % EVAL_PRIME)
+        if got != want:
+            return False, f"disagreement at sample {i}"
     return True, "1000 random pairs under +, -, *, /"
 
 
@@ -513,7 +532,7 @@ def check_op_generators(cfg):
 def check_taylor_multiplicative(cfg):
     rng = cfg.rng("diffcalc.taylor-multiplicative")
     p, m = cfg.p, cfg.m
-    N = cfg.taylor_order
+    N = 5                                   # expansion order
     for i in range(cfg.taylor_samples):
         f = _random_coordpoly(rng, p, deg=4, sdeg=1, bound=4)
         g = _random_coordpoly(rng, p, deg=4, sdeg=1, bound=4)

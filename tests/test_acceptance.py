@@ -121,4 +121,4 @@ def test_criterion_9_taylor_multiplicative():
     _criterion(9, "taylor(fg, N) = taylor(f, N) taylor(g, N) mod support > N",
                60.0,
                lambda: check_taylor_multiplicative(
-                   VerifyConfig(p=2, m=1, taylor_samples=200, taylor_order=5)))
+                   VerifyConfig(p=2, m=1, taylor_samples=200)))

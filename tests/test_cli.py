@@ -1,11 +1,17 @@
+import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from qtwist.cli import main
+import qtwist
+from qtwist.cli import build_parser, main
 from qtwist.coordring import CoordPoly, SIDE_APRIME
 from qtwist.divpow import DPElem
 from qtwist.frobdiv import level_minus_one_ctx
+from qtwist.verify import VerifyConfig
 
 
 def run(capsys, *argv):
@@ -64,6 +70,20 @@ def test_verify_unknown_suite(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "nonsense"])
     assert exc.value.code == 2
+
+
+def test_verify_defaults_are_verify_config_defaults():
+    args = vars(build_parser().parse_args(["verify"]))
+    shared = {f.name for f in dataclasses.fields(VerifyConfig)} & set(args)
+    assert shared == {"p", "m", "n_max", "trunc_N", "deg_d", "seed"}
+    assert VerifyConfig(**{name: args[name] for name in shared}) == VerifyConfig()
+
+
+def test_package_runs_as_a_module():
+    src = os.path.dirname(os.path.dirname(qtwist.__file__))
+    out = subprocess.run([sys.executable, "-m", "qtwist", "coeffs", "--n-max", "0"],
+                         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.returncode == 0 and out.stdout.startswith("coefficients for p = 2")
 
 
 def test_verify_exit_one_on_failure(capsys, monkeypatch):

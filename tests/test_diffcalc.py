@@ -3,7 +3,7 @@ import random
 import pytest
 
 from qtwist.qarith import LocScalar, QPoly, Q, q_int, random_locscalar
-from qtwist.coordring import CoordPoly, q_derivative
+from qtwist.coordring import CoordPoly, SIDE_APRIME, q_derivative, sigma_power
 from qtwist.divpow import DPContext, DPElem
 from qtwist.diffcalc import (TwistedDiffOp, comult, op_apply, op_compose,
                              pairing, taylor)
@@ -43,6 +43,33 @@ def test_compose_with_coordinate():
     c = op_compose(gen(p, m, 1), TwistedDiffOp.scalar(p, m, x))
     assert c.coeff(0) == CoordPoly(q_int(k))
     assert c.coeff(1) == QPoly((0,) * k + (1,)) * x
+
+
+def step_rule(p, m, terms):
+    """D^<1> o (sum g_j D^<j>) by D^<1> o g = (p^m)_q partial(g) + sigma(g) D^<1>."""
+    k = p ** m
+    out = {}
+    for j, g in terms.items():
+        for order, c in ((j, q_int(k) * q_derivative(g, k)), (j + 1, sigma_power(g, k))):
+            out[order] = out.get(order, CoordPoly(())) + c
+    return out
+
+
+@pytest.mark.parametrize("p,m", [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2)])
+def test_compose_matches_the_step_rule(p, m):
+    rng = random.Random(31 * p + m)
+    for _ in range(3):
+        f = CoordPoly([random_locscalar(rng, p, 1, 4) for _ in range(4)])
+        ref = {0: f}
+        for n in range(6):
+            got = op_compose(gen(p, m, n), TwistedDiffOp.scalar(p, m, f))
+            assert got == TwistedDiffOp(p, m, ref)
+            ref = step_rule(p, m, ref)
+
+
+def test_apply_rejects_the_pullback_side():
+    with pytest.raises(ValueError):
+        op_apply(gen(2, 1, 1), CoordPoly.x(SIDE_APRIME))
 
 
 def test_zero_order_ops_multiply():

@@ -1,6 +1,6 @@
 import pytest
 
-from qtwist.qarith import (LocScalar, ONE, QPoly, QRat, Q, is_unit,
+from qtwist.qarith import (LocScalar, ONE, QPoly, Q, is_unit,
                            q_factorial, q_int)
 from qtwist.coordring import CoordPoly, SIDE_A, SIDE_APRIME
 from qtwist.divpow import DPElem, XiPoly, to_twisted_basis
@@ -49,11 +49,12 @@ def test_coeff_b_examples():
 @pytest.mark.parametrize("p", [2, 3])
 def test_coeff_b_matches_field_oracle(p):
     for n in range(4):
-        den = QRat(q_factorial(n).stretch(p) * q_int(p) ** n)
+        # the constructor reduces by a full gcd, not by cyclotomic trial division
+        den = q_factorial(n).stretch(p) * q_int(p) ** n
         for i in range(n, p * n + 1):
-            oracle = QRat(q_factorial(i) * coeff_a(n, i, p)) / den
+            oracle = LocScalar(q_factorial(i) * coeff_a(n, i, p), den)
             got = coeff_b(n, i, p)
-            assert QRat(got.num, got.den) == oracle
+            assert (got.num, got.den) == (oracle.num, oracle.den)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

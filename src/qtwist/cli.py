@@ -64,8 +64,11 @@ def _check_localized(f, p, where=""):
 
 def _emit(args, text):
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise UsageError(f"cannot write {args.out}: {e}")
     else:
         sys.stdout.write(text)
 

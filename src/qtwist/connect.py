@@ -28,7 +28,7 @@ import itertools
 
 from .qarith import LocScalar, QPoly, q_int
 from .coordring import (CoordPoly, SIDE_A, SIDE_APRIME, SideMismatchError,
-                        q_derivative, rel_frobenius, sigma_power)
+                        level_derivative, q_derivative, rel_frobenius, sigma_power)
 
 
 class ResourceCapError(RuntimeError):
@@ -208,8 +208,7 @@ def theta_apply(module, vec):
         if v.side != module.side:
             raise SideMismatchError("vector entry on the wrong side")
     k = module.p ** module.m
-    mult = LocScalar(q_int(k))
-    out = [q_derivative(v, k) * mult for v in vec]
+    out = [level_derivative(v, k) for v in vec]
     for j, v in enumerate(vec):
         s = sigma_power(v, k)
         if s.is_zero():

@@ -12,6 +12,7 @@ Structure maps (p is passed where the prime matters):
 * ``phi_abs(f, p)``          q -> q^p on coefficients and x -> x^p
 * ``delta(f, p)``            (phi(f) - f^p) / p, exactly
 * ``q_derivative(f, k)``     termwise x^n -> q_int(n, q^k) x^(n-1)
+* ``level_derivative(f, k)`` (k)_q q_derivative(f, k), how D^<1> acts at k = p^m
 * ``rel_frobenius(f, p)``    A' -> A, x' -> x^p, coefficients unchanged
 * ``pullback_map(f, p)``     A -> A', q -> q^p on coefficients, x -> x'
 
@@ -27,7 +28,7 @@ every coefficient container of the package: the dense ``CoordPoly`` and
 from __future__ import annotations
 
 from .qarith import (LocScalar, ONE_SCALAR, QPoly, ZERO_SCALAR, divide_exact,
-                     power, q_int_pow)
+                     power, q_int, q_int_pow)
 
 SIDE_A = "A"
 SIDE_APRIME = "A'"
@@ -333,6 +334,11 @@ def q_derivative(f, k=1):
     return CoordPoly(
         tuple(f.coeffs[d] * q_int_pow(d, k) for d in range(1, len(f.coeffs))),
         f.side)
+
+
+def level_derivative(f, k):
+    """(k)_q times the q^k-derivative: the action of D^<1> at level -m, k = p^m."""
+    return q_derivative(f, k) * LocScalar(q_int(k))
 
 
 def rel_frobenius(f, p):

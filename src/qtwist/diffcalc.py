@@ -27,9 +27,10 @@ f -> sum_i D^<i>(f) w[i].
 
 from __future__ import annotations
 
-from .qarith import LocScalar, QPoly, q_binomial_pow, q_int
-from .coordring import (CoordPoly, SIDE_A, SparseModule, accumulate, q_derivative,
-                        sigma_power)
+from .qarith import LocScalar, QPoly, q_binomial_pow
+# q_derivative is unused here but stays bound: perfbench instruments it by name
+from .coordring import (CoordPoly, SIDE_A, SparseModule, accumulate, level_derivative,
+                        q_derivative, sigma_power)
 from .divpow import DPContext, DPElem, Y_LEVEL
 
 
@@ -99,15 +100,13 @@ def op_apply(d, f):
 def taylor(f, N, p, m):
     """Truncated expansion sum_{i<=N} D^<i>(f) w[i] at level -m."""
     ctx = DPContext(p, m, Y_LEVEL, SIDE_A, 1, cap=max(N, 16))
-    k = p ** m
-    mult = LocScalar(q_int(k))
     terms = {}
     current = f
     for i in range(N + 1):
         if current.is_zero():
             break
         terms[i] = current
-        current = q_derivative(current, k) * mult
+        current = level_derivative(current, p ** m)
     return DPElem(ctx, terms)
 
 

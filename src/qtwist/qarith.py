@@ -405,6 +405,11 @@ class QPoly:
 
     @classmethod
     def from_json(cls, data):
+        if not isinstance(data, list) or not all(
+                type(c) is int
+                or type(c) is str and c.isascii() and c.removeprefix("-").isdigit()
+                for c in data):
+            raise ValueError(f"a q-polynomial is an array of decimal strings, got {data!r}")
         return cls([int(c) for c in data])
 
 

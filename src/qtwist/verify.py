@@ -1,10 +1,17 @@
 """Named check suites over every module, for the CLI and the test gate.
 
-Each check is a pure function of a ``VerifyConfig``; it returns
-``(ok, detail)`` where ok may be True, False, or None for "not
+Each identity is one check, a function registered by ``@check(id, ref)``.
+It takes the ``VerifyConfig`` and ``rng``, the random stream that
+``VerifyConfig.rng`` seeds from the configured seed and the check id, so
+reports are bytewise reproducible.  It yields one ``(where, lhs, rhs)``
+per case; the first case with ``lhs != rhs`` fails the check with detail
+``where``.  When every case holds, the check's return value
+``(ok, detail)`` is the verdict: ok is True, False, or None for "not
 applicable at this configuration" (reported as a skip, never a failure).
-Randomized checks derive their generator from the configured seed and
-the check id, so reports are bytewise reproducible.
+A check with no cases may return its verdict directly.  The decorator
+appends ``(id, ref, run)`` to ``SUITES[suite]``, the suite being the id's
+prefix, and returns ``run``: ``run(cfg)`` gives ``(ok, detail)``.  So
+adding an identity is one decorated function.
 
 The default bounds are the ones the acceptance gate runs at; lowering
 them via the CLI trades coverage for speed, raising them is allowed up
@@ -13,6 +20,7 @@ to the module degree caps.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import random
 import zlib
@@ -47,6 +55,39 @@ class VerifyConfig:
         return random.Random(self.seed + zlib.crc32(check_id.encode()))
 
 
+# suite name -> [(check id, reference, run)], in source order
+SUITES = {}
+
+
+def check(check_id, ref):
+    """Register a check under the suite named by its id's prefix."""
+    def register(cases):
+        def run(cfg):
+            outcome = cases(cfg, cfg.rng(check_id))
+            if not inspect.isgenerator(outcome):
+                return outcome
+            try:
+                while True:
+                    where, lhs, rhs = next(outcome)
+                    if lhs != rhs:
+                        return False, where
+                    del lhs, rhs              # free this case before the next is built
+            except StopIteration as done:
+                return done.value
+        SUITES.setdefault(check_id.split(".")[0], []).append((check_id, ref, run))
+        return run
+    return register
+
+
+def _not_divisible(divide, *args):
+    """Whether divide(*args) raises NotDivisibleError."""
+    try:
+        divide(*args)
+    except qa.NotDivisibleError:
+        return True
+    return False
+
+
 def _random_coordpoly(rng, p, side=SIDE_A, deg=3, sdeg=2, bound=6):
     return CoordPoly(
         [qa.random_locscalar(rng, p, sdeg, bound) for _ in range(deg + 1)], side)
@@ -56,49 +97,49 @@ def _random_coordpoly(rng, p, side=SIDE_A, deg=3, sdeg=2, bound=6):
 # qarith
 # ---------------------------------------------------------------------------
 
-def check_pascal(cfg):
+@check("qarith.pascal-recurrences",
+       "C(n,k)_q = C(n-1,k-1)_q + q^k C(n-1,k)_q and the mirrored form")
+def check_pascal(cfg, rng):
     for n in range(13):
         for k in range(1, n):
             b = qa.q_binomial(n, k)
-            if b != qa.q_binomial(n - 1, k - 1) + qa.q_binomial(n - 1, k).shifted(k):
-                return False, f"first recurrence fails at ({n},{k})"
-            if b != qa.q_binomial(n - 1, k - 1).shifted(n - k) + qa.q_binomial(n - 1, k):
-                return False, f"second recurrence fails at ({n},{k})"
+            yield (f"first recurrence fails at ({n},{k})",
+                   b, qa.q_binomial(n - 1, k - 1) + qa.q_binomial(n - 1, k).shifted(k))
+            yield (f"second recurrence fails at ({n},{k})",
+                   b, qa.q_binomial(n - 1, k - 1).shifted(n - k) + qa.q_binomial(n - 1, k))
     return True, "both recurrences, n <= 12"
 
 
-def check_factorial_frobenius(cfg):
+@check("qarith.factorial-frobenius-compat", "q -> q^p sends (n)_q! to (n)_{q^p}!")
+def check_factorial_frobenius(cfg, rng):
     p = cfg.p
     for n in range(13):
-        if qa.q_factorial(n).stretch(p) != qa.q_factorial_pow(n, p):
-            return False, f"q -> q^{p} fails on factorial {n}"
+        yield (f"q -> q^{p} fails on factorial {n}",
+               qa.q_factorial(n).stretch(p), qa.q_factorial_pow(n, p))
     return True, f"factorial of q^{p} matches substituted factorial, n <= 12"
 
 
-def check_binomial_quotient(cfg):
+@check("qarith.binomial-polynomiality",
+       "(n)_q! / ((k)_q! (n-k)_q!) is a polynomial equal to C(n,k)_q")
+def check_binomial_quotient(cfg, rng):
     for n in range(13):
         for k in range(n + 1):
             quo = LocScalar(qa.q_factorial(n)) / (qa.q_factorial(k) * qa.q_factorial(n - k))
-            if not quo.is_polynomial() or quo.num != qa.q_binomial(n, k):
-                return False, f"factorial quotient disagrees at ({n},{k})"
+            yield (f"factorial quotient disagrees at ({n},{k})",
+                   quo, LocScalar(qa.q_binomial(n, k)))
     return True, "factorial quotient is polynomial and matches, n <= 12"
 
 
-def check_division_roundtrip(cfg):
-    rng = cfg.rng("qarith.exact-division-roundtrip")
+@check("qarith.exact-division-roundtrip", "divide_exact(z*d, d) = z for d in {p, (p)_q}")
+def check_division_roundtrip(cfg, rng):
     p = cfg.p
     divisors = [p, q_int(p)]
     for _ in range(200):
         z = qa.random_locscalar(rng, p)
         for d in divisors:
             zd = z * d if isinstance(d, QPoly) else LocScalar(z.num * d, z.den)
-            if qa.divide_exact(zd, d) != z:
-                return False, f"round trip fails for {z} by {d}"
-    try:
-        qa.divide_exact(LocScalar(1), p)
-        return False, "1/p should not be divisible"
-    except qa.NotDivisibleError:
-        pass
+            yield f"round trip fails for {z} by {d}", qa.divide_exact(zd, d), z
+    yield "1/p should not be divisible", _not_divisible(qa.divide_exact, LocScalar(1), p), True
     return True, "200 samples, divisors p and (p)_q; 1 not divisible by p"
 
 
@@ -115,10 +156,10 @@ def _value_mod(z, t):
     return num * pow(den, -1, EVAL_PRIME) % EVAL_PRIME if den else None
 
 
-def check_fraction_agreement(cfg):
+@check("qarith.fraction-field-agreement", "localized arithmetic embeds in Q(q) arithmetic")
+def check_fraction_agreement(cfg, rng):
     """Fraction +, -, *, / against their values at a random point modulo a
     prime (Schwartz, JACM 1980); the evaluation shares no code with qarith."""
-    rng = cfg.rng("qarith.fraction-field-agreement")
     points = cfg.rng("qarith.fraction-field-agreement/points")
     p = cfg.p
     for i in range(1000):
@@ -133,8 +174,7 @@ def check_fraction_agreement(cfg):
         want = [(v1 + v2) % EVAL_PRIME, (v1 - v2) % EVAL_PRIME, v1 * v2 % EVAL_PRIME]
         if v2:
             want.append(v1 * pow(v2, -1, EVAL_PRIME) % EVAL_PRIME)
-        if got != want:
-            return False, f"disagreement at sample {i}"
+        yield f"disagreement at sample {i}", got, want
     return True, "1000 random pairs under +, -, *, /"
 
 
@@ -142,75 +182,72 @@ def check_fraction_agreement(cfg):
 # coordring
 # ---------------------------------------------------------------------------
 
-def check_phi_multiplicative(cfg):
-    rng = cfg.rng("coordring.frobenius-multiplicative")
+@check("coordring.frobenius-multiplicative", "phi(fg) = phi(f) phi(g)")
+def check_phi_multiplicative(cfg, rng):
     p = cfg.p
     for i in range(500):
-        f = _random_coordpoly(rng, p)
-        g = _random_coordpoly(rng, p)
-        if cr.phi_abs(f * g, p) != cr.phi_abs(f, p) * cr.phi_abs(g, p):
-            return False, f"phi(fg) != phi(f)phi(g) at sample {i}"
+        f, g = _random_coordpoly(rng, p), _random_coordpoly(rng, p)
+        yield (f"phi(fg) != phi(f)phi(g) at sample {i}",
+               cr.phi_abs(f * g, p), cr.phi_abs(f, p) * cr.phi_abs(g, p))
     return True, "500 random pairs"
 
 
-def check_phi_congruence(cfg):
-    rng = cfg.rng("coordring.frobenius-mod-p")
+@check("coordring.frobenius-mod-p", "phi(f) = f^p mod p")
+def check_phi_congruence(cfg, rng):
     p = cfg.p
     for i in range(50):
         f = _random_coordpoly(rng, p)
         diff = cr.phi_abs(f, p) - f ** p
-        try:
-            diff.map_coeffs(lambda c: qa.divide_exact(c, p))
-        except qa.NotDivisibleError:
-            return False, f"phi(f) - f^p not divisible by p at sample {i}"
+        yield (f"phi(f) - f^p not divisible by p at sample {i}",
+               _not_divisible(diff.map_coeffs, lambda c: qa.divide_exact(c, p)), False)
     return True, "phi(f) = f^p mod p on 50 random f"
 
 
-def check_twisted_leibniz(cfg):
-    rng = cfg.rng("coordring.twisted-leibniz")
+@check("coordring.twisted-leibniz", "d(fg) = d(f) g + sigma(f) d(g) at twists q^k")
+def check_twisted_leibniz(cfg, rng):
     p = cfg.p
     for k in (1, p, p * p):
         for i in range(40):
             f = _random_coordpoly(rng, p)
             g = _random_coordpoly(rng, p)
-            lhs = cr.q_derivative(f * g, k)
-            rhs = cr.q_derivative(f, k) * g + cr.sigma_power(f, k) * cr.q_derivative(g, k)
-            if lhs != rhs:
-                return False, f"Leibniz fails at twist q^{k}, sample {i}"
+            yield (f"Leibniz fails at twist q^{k}, sample {i}", cr.q_derivative(f * g, k),
+                   cr.q_derivative(f, k) * g + cr.sigma_power(f, k) * cr.q_derivative(g, k))
     return True, f"twists q, q^{p}, q^{p * p}; 40 pairs each"
 
 
-def check_relative_absolute(cfg):
-    rng = cfg.rng("coordring.relative-absolute-frobenius")
+@check("coordring.relative-absolute-frobenius",
+       "relative Frobenius after pullback is the absolute one")
+def check_relative_absolute(cfg, rng):
     p = cfg.p
     for i in range(100):
         f = _random_coordpoly(rng, p)
-        if cr.rel_frobenius(cr.pullback_map(f, p), p) != cr.phi_abs(f, p):
-            return False, f"F(pullback(f)) != phi(f) at sample {i}"
+        yield (f"F(pullback(f)) != phi(f) at sample {i}",
+               cr.rel_frobenius(cr.pullback_map(f, p), p), cr.phi_abs(f, p))
     return True, "relative after pullback equals absolute, 100 samples"
 
 
-def check_rank_p_freeness(cfg):
-    rng = cfg.rng("coordring.rank-p-freeness")
+@check("coordring.rank-p-freeness", "f = sum_{i<p} F(g_i) x^i uniquely")
+def check_rank_p_freeness(cfg, rng):
     p = cfg.p
     for i in range(100):
         f = _random_coordpoly(rng, p, deg=7)
         parts = cr.frobenius_decompose(f, p)
-        if len(parts) != p or cr.frobenius_recompose(parts, p) != f:
-            return False, f"decomposition round trip fails at sample {i}"
+        where = f"decomposition round trip fails at sample {i}"
+        yield where, len(parts), p
+        yield where, cr.frobenius_recompose(parts, p), f
     return True, "decompose/recompose identity, 100 samples"
 
 
-def check_tensor_reduction(cfg):
+@check("coordring.tensor-reduction",
+       "x2^p = x1^p in the tensor square over the Frobenius pullback")
+def check_tensor_reduction(cfg, rng):
     p = cfg.p
     gen = cr.tensor_diagonal_generator(p)
     summed = cr.BiCoordPoly(
         p, {(i, p - 1 - i): 1 for i in range(p)})
-    if not (gen * summed).is_zero():
-        return False, "telescoping product does not vanish"
+    yield "telescoping product does not vanish", (gen * summed).is_zero(), True
     high = cr.BiCoordPoly(p, {(0, p + 1): 1})
-    if high.terms != {(p, 1): qa.ONE_SCALAR}:
-        return False, "x2^(p+1) does not reduce to x1^p x2"
+    yield "x2^(p+1) does not reduce to x1^p x2", high.terms, {(p, 1): qa.ONE_SCALAR}
     return True, "telescope kills x2^p - x1^p; normal form reduces exponents"
 
 
@@ -218,41 +255,43 @@ def check_tensor_reduction(cfg):
 # divpow
 # ---------------------------------------------------------------------------
 
-def check_dp_assoc_comm(cfg):
+@check("divpow.mul-associative-commutative",
+       "divided-power multiplication is a commutative ring law")
+def check_dp_assoc_comm(cfg, rng):
     p = cfg.p
     for m in (0, 1, 2):
         ctx = DPContext(p, m)
         for n1 in range(9):
             for n2 in range(9 - n1):
                 a, b = DPElem.basis(ctx, n1), DPElem.basis(ctx, n2)
-                if a * b != b * a:
-                    return False, f"commutativity fails at m={m}, ({n1},{n2})"
+                yield f"commutativity fails at m={m}, ({n1},{n2})", a * b, b * a
                 for n3 in range(9 - n1 - n2):
                     c = DPElem.basis(ctx, n3)
-                    if (a * b) * c != a * (b * c):
-                        return False, f"associativity fails at m={m}, ({n1},{n2},{n3})"
+                    yield (f"associativity fails at m={m}, ({n1},{n2},{n3})",
+                           (a * b) * c, a * (b * c))
     return True, "basis triples with n1+n2+n3 <= 8, m in {0,1,2}"
 
 
-def check_factorial_map(cfg):
+@check("divpow.factorial-map-multiplicative", "xi^(n) -> (n)_Q! xi^[n] is a ring map")
+def check_factorial_map(cfg, rng):
     p = cfg.p
     for m in (0, 1, 2):
         ctx = DPContext(p, m)
         k = ctx.twist
         for n1 in range(9):
             for n2 in range(9 - n1):
-                lhs = DPElem(ctx, {})
-                for idx, c in dp.twisted_power_mul(n1, n2, ctx).items():
-                    lhs = lhs + DPElem.basis(
-                        ctx, idx, CoordPoly(qa.q_factorial_pow(idx, k))) * c
-                rhs = (DPElem.basis(ctx, n1, CoordPoly(qa.q_factorial_pow(n1, k)))
+                lhs = sum((DPElem.basis(ctx, idx, CoordPoly(qa.q_factorial_pow(idx, k))) * c
+                           for idx, c in dp.twisted_power_mul(n1, n2, ctx).items()),
+                          DPElem(ctx, {}))
+                yield (f"factorial map not multiplicative at m={m}, ({n1},{n2})", lhs,
+                       DPElem.basis(ctx, n1, CoordPoly(qa.q_factorial_pow(n1, k)))
                        * DPElem.basis(ctx, n2, CoordPoly(qa.q_factorial_pow(n2, k))))
-                if lhs != rhs:
-                    return False, f"factorial map not multiplicative at m={m}, ({n1},{n2})"
     return True, "twisted-power products match divided products, n1+n2 <= 8"
 
 
-def check_blowup_multiplicative(cfg):
+@check("divpow.blowup-multiplicative",
+       "xi -> (p^m)_q w extends to a ring map on divided powers")
+def check_blowup_multiplicative(cfg, rng):
     p = cfg.p
     for m in (1, 2):
         src = DPContext(p, m, Y_STANDARD)
@@ -261,14 +300,14 @@ def check_blowup_multiplicative(cfg):
         for n1 in range(7):
             for n2 in range(7 - n1):
                 a, b = DPElem.basis(src, n1), DPElem.basis(src, n2)
-                lhs = dp.blowup(a * b, z, tgt)
-                rhs = dp.blowup(a, z, tgt) * dp.blowup(b, z, tgt)
-                if lhs != rhs:
-                    return False, f"blow-up not multiplicative at m={m}, ({n1},{n2})"
+                yield (f"blow-up not multiplicative at m={m}, ({n1},{n2})",
+                       dp.blowup(a * b, z, tgt), dp.blowup(a, z, tgt) * dp.blowup(b, z, tgt))
     return True, "blow-up by (p^m)_q is a ring map on pairs n1+n2 <= 6"
 
 
-def check_generic_specialization(cfg):
+@check("divpow.generic-specialization",
+       "generic-parameter constants specialize to the closed form")
+def check_generic_specialization(cfg, rng):
     p = cfg.p
     for m in (0, 1, 2):
         for mode in (Y_LEVEL, Y_STANDARD):
@@ -282,23 +321,21 @@ def check_generic_specialization(cfg):
                             g.stretch(k) * (-1 if i % 2 else 1) * c ** i, i)
                         for i, g in dp._struct_consts_oracle(n1, n2)}
                     closed = dict(dp.dp_structure_terms(ctx, n1, n2))
-                    oracle = {n: v for n, v in oracle.items() if not v.is_zero()}
-                    closed = {n: v for n, v in closed.items() if not v.is_zero()}
-                    if oracle != closed:
-                        return False, f"constants differ at m={m}, mode={mode}, ({n1},{n2})"
+                    yield (f"constants differ at m={m}, mode={mode}, ({n1},{n2})",
+                           {n: v for n, v in oracle.items() if not v.is_zero()},
+                           {n: v for n, v in closed.items() if not v.is_zero()})
     return True, "field-oracle constants specialize to the closed form, n <= 6"
 
 
-def check_base_change_multiplicative(cfg):
-    p = cfg.p
-    ctx = DPContext(p, 1)
+@check("divpow.base-change-multiplicative", "xi^[n]_{q,y} -> xi^[n]_{q^p,y'} is a ring map")
+def check_base_change_multiplicative(cfg, rng):
+    ctx = DPContext(cfg.p, 1)
     for n1 in range(7):
         for n2 in range(7 - n1):
             a, b = DPElem.basis(ctx, n1), DPElem.basis(ctx, n2)
-            lhs = dp.frobenius_base_change(a * b)
-            rhs = dp.frobenius_base_change(a) * dp.frobenius_base_change(b)
-            if lhs != rhs:
-                return False, f"base change not multiplicative at ({n1},{n2})"
+            yield (f"base change not multiplicative at ({n1},{n2})",
+                   dp.frobenius_base_change(a * b),
+                   dp.frobenius_base_change(a) * dp.frobenius_base_change(b))
     return True, "semilinear base change is a ring map on pairs n1+n2 <= 6"
 
 
@@ -306,16 +343,17 @@ def check_base_change_multiplicative(cfg):
 # frobdiv
 # ---------------------------------------------------------------------------
 
-def check_a_lower_vanishing(cfg):
-    p = cfg.p
+@check("frobdiv.a-lower-vanishing", "a(n,i) = 0 for i < n")
+def check_a_lower_vanishing(cfg, rng):
     for n in range(min(cfg.n_max, 6) + 1):
         for i in range(n):
-            if not fd.coeff_a(n, i, p).is_zero():
-                return False, f"a({n},{i}) != 0"
+            yield f"a({n},{i}) != 0", fd.coeff_a(n, i, cfg.p).is_zero(), True
     return True, "a(n, i) vanishes for i < n"
 
 
-def check_b_integrality(cfg):
+@check("frobdiv.b-in-localization",
+       "b(n,i) in the localization; b(n,pn) = prod (kp-j)_q, a unit")
+def check_b_integrality(cfg, rng):
     try:
         fd.FrobCoeffTable(cfg.p, cfg.n_max).validate()
     except fd.MembershipError as e:
@@ -324,90 +362,89 @@ def check_b_integrality(cfg):
                   f"double product and are units, n <= {cfg.n_max}")
 
 
-def check_divf_multiplicative(cfg):
-    p = cfg.p
+@check("frobdiv.divided-frobenius-multiplicative", "[F](uv) = [F](u) [F](v)")
+def check_divf_multiplicative(cfg, rng):
     cap = cfg.pair_cap
-    ctx = fd.level_minus_one_ctx(p, SIDE_APRIME, cap=max(p * cap, 16))
+    ctx = fd.level_minus_one_ctx(cfg.p, SIDE_APRIME, cap=max(cfg.p * cap, 16))
     for n1 in range(cap + 1):
         for n2 in range(cap + 1 - n1):
             a, b = DPElem.basis(ctx, n1), DPElem.basis(ctx, n2)
-            if fd.divided_frobenius(a * b) != fd.divided_frobenius(a) * fd.divided_frobenius(b):
-                return False, f"divided Frobenius not multiplicative at ({n1},{n2})"
+            yield (f"divided Frobenius not multiplicative at ({n1},{n2})",
+                   fd.divided_frobenius(a * b),
+                   fd.divided_frobenius(a) * fd.divided_frobenius(b))
     return True, f"basis pairs with n1+n2 <= {cap}"
 
 
-def check_divf_example(cfg):
+@check("frobdiv.divided-frobenius-example", "[F](w) = x xi[1] + xi[2] at p = 2")
+def check_divf_example(cfg, rng):
     if cfg.p != 2:
         return None, "example is specific to p = 2"
-    ctx = fd.level_minus_one_ctx(2, SIDE_APRIME)
-    img = fd.divided_frobenius(DPElem.basis(ctx, 1))
-    want = DPElem(fd.level_zero_ctx(2),
-                  {1: CoordPoly.x(), 2: CoordPoly(1)})
-    if img != want:
-        return False, f"image of w is {img}"
+    img = fd.divided_frobenius(DPElem.basis(fd.level_minus_one_ctx(2, SIDE_APRIME), 1))
+    yield (f"image of w is {img}",
+           img, DPElem(fd.level_zero_ctx(2), {1: CoordPoly.x(), 2: CoordPoly(1)}))
     return True, "image of w is x*xi[1] + xi[2]"
 
 
-def check_frobenius_lift_example(cfg):
+@check("frobdiv.frobenius-lift-example",
+       "phi(xi) = (1+q) xi[2] + (1+q) x xi and phi(w) = (1+q)^2 w[2] + (1+q) x w")
+def check_frobenius_lift_example(cfg, rng):
     if cfg.p != 2:
         return None, "example is specific to p = 2"
     two = q_int(2)
     ctx0 = fd.level_zero_ctx(2)
     phi_xi = fd.phi_level_zero(DPElem.basis(ctx0, 1))
-    want_xi = DPElem(ctx0, {1: two * CoordPoly.x(), 2: CoordPoly(two)})
+    yield (f"phi(xi) = {phi_xi}",
+           phi_xi, DPElem(ctx0, {1: two * CoordPoly.x(), 2: CoordPoly(two)}))
     ctx1 = fd.level_minus_one_ctx(2)
     phi_w = fd.phi_dp(DPElem.basis(ctx1, 1))
-    want_w = DPElem(ctx1, {1: two * CoordPoly.x(), 2: CoordPoly(two * two)})
-    if phi_xi != want_xi:
-        return False, f"phi(xi) = {phi_xi}"
-    if phi_w != want_w:
-        return False, f"phi(w) = {phi_w}"
+    yield (f"phi(w) = {phi_w}",
+           phi_w, DPElem(ctx1, {1: two * CoordPoly.x(), 2: CoordPoly(two * two)}))
     return True, "phi(xi) = (1+q)xi[2] + (1+q)x xi; phi(w) = (1+q)^2 w[2] + (1+q)x w"
 
 
-def check_phi_dp_multiplicative(cfg):
-    p = cfg.p
+@check("frobdiv.phi-multiplicative", "the level -1 Frobenius lift is a ring map")
+def check_phi_dp_multiplicative(cfg, rng):
     cap = cfg.pair_cap
-    ctx = fd.level_minus_one_ctx(p, cap=max(p * cap, 16))
+    ctx = fd.level_minus_one_ctx(cfg.p, cap=max(cfg.p * cap, 16))
     for n1 in range(cap + 1):
         for n2 in range(cap + 1 - n1):
             a, b = DPElem.basis(ctx, n1), DPElem.basis(ctx, n2)
-            if fd.phi_dp(a * b) != fd.phi_dp(a) * fd.phi_dp(b):
-                return False, f"lift not multiplicative at ({n1},{n2})"
+            yield (f"lift not multiplicative at ({n1},{n2})",
+                   fd.phi_dp(a * b), fd.phi_dp(a) * fd.phi_dp(b))
     return True, f"basis pairs with n1+n2 <= {cap}"
 
 
-def check_phi_dp_congruence(cfg):
-    p = cfg.p
-    ctx = fd.level_minus_one_ctx(p, cap=max(4 * p, 16))
+@check("frobdiv.phi-frobenius-congruence", "phi(e) - e^p is exactly divisible by p")
+def check_phi_dp_congruence(cfg, rng):
+    ctx = fd.level_minus_one_ctx(cfg.p, cap=max(4 * cfg.p, 16))
     for n in range(1, 5):
-        try:
-            fd.delta_dp(DPElem.basis(ctx, n))
-        except qa.NotDivisibleError:
-            return False, f"phi(e) - e^p not divisible by p at n={n}"
+        yield (f"phi(e) - e^p not divisible by p at n={n}",
+               _not_divisible(fd.delta_dp, DPElem.basis(ctx, n)), False)
     return True, "phi(e) = e^p mod p on basis elements n <= 4"
 
 
-def check_phi_level_zero_formula(cfg):
+@check("frobdiv.phi-level-zero-compat",
+       "phi on level 0 factors through base change, blow-up and [F]")
+def check_phi_level_zero_formula(cfg, rng):
     p = cfg.p
     ctx0 = fd.level_zero_ctx(p, cap=max(6 * p, 16))
     pq = q_int(p)
     for n in range(7):
-        img = fd.phi_level_zero(DPElem.basis(ctx0, n))
-        want = DPElem(ctx0, {
-            i: CoordPoly.monomial(fd.coeff_b(n, i, p) * pq ** n, p * n - i)
-            for i in range(n, p * n + 1)})
-        if img != want:
-            return False, f"composite lift disagrees with (p)_q^n b-row at n={n}"
+        yield (f"composite lift disagrees with (p)_q^n b-row at n={n}",
+               fd.phi_level_zero(DPElem.basis(ctx0, n)),
+               DPElem(ctx0, {i: CoordPoly.monomial(fd.coeff_b(n, i, p) * pq ** n, p * n - i)
+                             for i in range(n, p * n + 1)}))
     for n1 in range(5):
         for n2 in range(5 - n1):
             a, b = DPElem.basis(ctx0, n1), DPElem.basis(ctx0, n2)
-            if fd.phi_level_zero(a * b) != fd.phi_level_zero(a) * fd.phi_level_zero(b):
-                return False, f"composite lift not multiplicative at ({n1},{n2})"
+            yield (f"composite lift not multiplicative at ({n1},{n2})",
+                   fd.phi_level_zero(a * b), fd.phi_level_zero(a) * fd.phi_level_zero(b))
     return True, "base-change + blow-up + divided Frobenius matches the b-rows, n <= 6"
 
 
-def check_delta_xi_blowup(cfg):
+@check("frobdiv.delta-xi-blowup",
+       "the blow-up intertwines the polynomial and divided-power lifts")
+def check_delta_xi_blowup(cfg, rng):
     p = cfg.p
     cap = max(4 * p, 16)
     std = DPContext(p, 0, Y_STANDARD, SIDE_A, p, cap=cap)      # twist q^p
@@ -423,32 +460,31 @@ def check_delta_xi_blowup(cfg):
     xi = dp.XiPoly.gen()
     for n in range(5):
         f = xi ** n
-        if blow(fd.symmetric_phi_xi(f, p)) != fd.phi_dp(blow(f)):
-            return False, f"square does not commute at xi^{n}"
+        yield (f"square does not commute at xi^{n}",
+               blow(fd.symmetric_phi_xi(f, p)), fd.phi_dp(blow(f)))
     return True, "blow-up intertwines the polynomial and divided lifts, n <= 4"
 
 
-def check_delta_xi_rank_one(cfg):
+@check("frobdiv.delta-xi-rank-one",
+       "delta(xi) = sum (1/p) C(p,i) x^(p-i) xi^i; x + xi has rank one")
+def check_delta_xi_rank_one(cfg, rng):
     p = cfg.p
     xi = dp.XiPoly.gen()
     x = dp.XiPoly((CoordPoly.x(),))
     dxi = fd.symmetric_delta_xi(xi, p)
-    want = dp.XiPoly(
+    yield f"delta(xi) = {dxi}", dxi, dp.XiPoly(
         [CoordPoly((), SIDE_A)]
         + [CoordPoly.monomial(comb(p, i) // p, p - i) for i in range(1, p)],
         SIDE_A)
-    if dxi != want:
-        return False, f"delta(xi) = {dxi}"
-    if not fd.symmetric_delta_xi(x + xi, p).is_zero():
-        return False, "x + xi is not of rank one"
-    if fd.symmetric_phi_xi(xi, p) != (x + xi) ** p - x ** p:
-        return False, "phi(xi) != (x+xi)^p - x^p"
+    yield "x + xi is not of rank one", fd.symmetric_delta_xi(x + xi, p).is_zero(), True
+    yield "phi(xi) != (x+xi)^p - x^p", fd.symmetric_phi_xi(xi, p), (x + xi) ** p - x ** p
     return True, "delta(xi) matches the binomial sum; x + xi has rank one"
 
 
-def check_envelope(cfg):
-    r_max = fd.default_r_max(cfg.p)
-    rep = fd.envelope_basis_check(r_max, cfg.p)
+@check("frobdiv.envelope-basis",
+       "delta^r(w) = c_r w[p^r] + lower, c_r a unit; q = 1 valuations p^(r+1) and 1")
+def check_envelope(cfg, rng):
+    rep = fd.envelope_basis_check(fd.default_r_max(cfg.p), cfg.p)
     rows = "; ".join(
         f"r={row['r']}: c={row['c']}"
         + (f", valuations ({row['phi_valuation']},{row['power_valuation']})"
@@ -457,16 +493,18 @@ def check_envelope(cfg):
     return rep["ok"], rows
 
 
-def check_v_basis(cfg):
-    p = cfg.p
-    bound = min(p * p, 25)
-    failures = fd.v_basis_triangular(bound, p)
-    if failures:
-        return False, f"failures: {failures}"
+@check("frobdiv.v-basis-triangular",
+       "products of delta-iterates form a triangular basis with unit diagonal")
+def check_v_basis(cfg, rng):
+    bound = min(cfg.p * cfg.p, 25)
+    failures = fd.v_basis_triangular(bound, cfg.p)
+    yield f"failures: {failures}", failures, []
     return True, f"triangular with unit diagonal up to n = {bound}"
 
 
-def check_u_consistency(cfg):
+@check("frobdiv.u-consistency",
+       "(p)_q! u(xi^[p]) matches the twisted-power image; u kills [F] images")
+def check_u_consistency(cfg, rng):
     rep = fd.u_consistency_check(cfg.p)
     detail = "; ".join(f"{c['id']}: {'ok' if c['ok'] else 'FAIL'}" for c in rep["checks"])
     return rep["ok"], detail
@@ -489,118 +527,104 @@ def _random_op(rng, p, m, support=3, deg=2, plain=False):
     return dc.TwistedDiffOp(p, m, terms)
 
 
-def check_op_assoc(cfg):
-    rng = cfg.rng("diffcalc.compose-associative")
-    p, m = cfg.p, cfg.m
+@check("diffcalc.compose-associative", "operator composition is associative")
+def check_op_assoc(cfg, rng):
     for i in range(30):
-        a, b, c = (_random_op(rng, p, m, 4, 3, plain=True) for _ in range(3))
-        if dc.op_compose(dc.op_compose(a, b), c) != dc.op_compose(a, dc.op_compose(b, c)):
-            return False, f"associativity fails at sample {i}"
+        a, b, c = (_random_op(rng, cfg.p, cfg.m, 4, 3, plain=True) for _ in range(3))
+        yield (f"associativity fails at sample {i}",
+               dc.op_compose(dc.op_compose(a, b), c), dc.op_compose(a, dc.op_compose(b, c)))
     return True, "30 random triples, support <= 4, coefficient degree <= 3"
 
 
-def check_op_action(cfg):
-    rng = cfg.rng("diffcalc.action-respects-composition")
-    p, m = cfg.p, cfg.m
+@check("diffcalc.action-respects-composition", "apply(compose(a,b)) = apply(a, apply(b, .))")
+def check_op_action(cfg, rng):
     for i in range(50):
-        a, b = _random_op(rng, p, m), _random_op(rng, p, m)
-        d = rng.randint(0, 8)
-        f = CoordPoly.monomial(1, d)
-        if dc.op_apply(dc.op_compose(a, b), f) != dc.op_apply(a, dc.op_apply(b, f)):
-            return False, f"action incompatible at sample {i}"
+        a, b = _random_op(rng, cfg.p, cfg.m), _random_op(rng, cfg.p, cfg.m)
+        f = CoordPoly.monomial(1, rng.randint(0, 8))
+        yield (f"action incompatible at sample {i}",
+               dc.op_apply(dc.op_compose(a, b), f), dc.op_apply(a, dc.op_apply(b, f)))
     return True, "50 random pairs against monomials of degree <= 8"
 
 
-def check_op_generators(cfg):
+@check("diffcalc.compose-generators", "D<n1> o D<n2> = D<n1+n2>; commutation rule moves x left")
+def check_op_generators(cfg, rng):
     p, m = cfg.p, cfg.m
+    gen = dc.TwistedDiffOp.generator
     for n1 in range(5):
         for n2 in range(5):
-            lhs = dc.op_compose(dc.TwistedDiffOp.generator(p, m, n1),
-                                dc.TwistedDiffOp.generator(p, m, n2))
-            if lhs != dc.TwistedDiffOp.generator(p, m, n1 + n2):
-                return False, f"generator composition fails at ({n1},{n2})"
-    cx = dc.op_compose(dc.TwistedDiffOp.generator(p, m, 1),
-                       dc.TwistedDiffOp.scalar(p, m, CoordPoly.x()))
+            yield (f"generator composition fails at ({n1},{n2})",
+                   dc.op_compose(gen(p, m, n1), gen(p, m, n2)), gen(p, m, n1 + n2))
+    cx = dc.op_compose(gen(p, m, 1), dc.TwistedDiffOp.scalar(p, m, CoordPoly.x()))
     k = p ** m
-    want0 = CoordPoly(q_int(k))
-    want1 = QPoly((0,) * k + (1,)) * CoordPoly.x()
-    if cx.coeff(0) != want0 or cx.coeff(1) != want1:
-        return False, "commutation with x disagrees"
+    yield ("commutation with x disagrees", (cx.coeff(0), cx.coeff(1)),
+           (CoordPoly(q_int(k)), QPoly((0,) * k + (1,)) * CoordPoly.x()))
     return True, "D<n1> o D<n2> = D<n1+n2>; D<1> o x = (p^m)_q + q^(p^m) x D<1>"
 
 
-def check_taylor_multiplicative(cfg):
-    rng = cfg.rng("diffcalc.taylor-multiplicative")
+@check("diffcalc.taylor-multiplicative", "taylor(fg) = taylor(f) taylor(g) mod support > N")
+def check_taylor_multiplicative(cfg, rng):
     p, m = cfg.p, cfg.m
     N = 5                                   # expansion order
     for i in range(cfg.taylor_samples):
         f = _random_coordpoly(rng, p, deg=4, sdeg=1, bound=4)
         g = _random_coordpoly(rng, p, deg=4, sdeg=1, bound=4)
-        lhs = dc.taylor(f * g, N, p, m)
-        rhs = (dc.taylor(f, N, p, m) * dc.taylor(g, N, p, m)).truncate(N)
-        if lhs != rhs:
-            return False, f"expansion not multiplicative at sample {i}"
+        yield (f"expansion not multiplicative at sample {i}", dc.taylor(f * g, N, p, m),
+               (dc.taylor(f, N, p, m) * dc.taylor(g, N, p, m)).truncate(N))
     return True, f"{cfg.taylor_samples} random pairs, order {N}"
 
 
-def check_taylor_values(cfg):
+@check("diffcalc.taylor-values", "taylor(x) = x + (p^m)_q w; taylor(1) = 1")
+def check_taylor_values(cfg, rng):
     p, m = cfg.p, cfg.m
     x = CoordPoly.x()
     t = dc.taylor(x, 3, p, m)
-    if t.coeff(0) != x or t.coeff(1) != CoordPoly(q_int(p ** m)) or t.support() != [0, 1]:
-        return False, f"expansion of x is {t}"
-    if dc.taylor(CoordPoly(1), 3, p, m) != DPElem.one(t.ctx):
-        return False, "expansion of 1 is not 1"
+    yield (f"expansion of x is {t}", (t.coeff(0), t.coeff(1), t.support()),
+           (x, CoordPoly(q_int(p ** m)), [0, 1]))
+    yield "expansion of 1 is not 1", dc.taylor(CoordPoly(1), 3, p, m), DPElem.one(t.ctx)
     return True, "x maps to x + (p^m)_q w; constants are fixed"
 
 
-def check_comult_coassoc(cfg):
-    p, m = cfg.p, cfg.m
-    ctx = DPContext(p, m)
+@check("diffcalc.comult-coassociative", "w[i] -> sum w[i1] (x) w[i2] is coassociative")
+def check_comult_coassoc(cfg, rng):
+    ctx = DPContext(cfg.p, cfg.m)
     for i in range(7):
-        e = DPElem.basis(ctx, i)
-        once = dc.comult(e, 6, 6)
         lhs, rhs = {}, {}
-        for (i1, i2), c in once.items():
+        for (i1, i2), c in dc.comult(DPElem.basis(ctx, i), 6, 6).items():
             for (j1, j2), c2 in dc.comult(DPElem.basis(ctx, i1), 6, 6).items():
                 cr.accumulate(lhs, (j1, j2, i2), c * c2)
             for (j1, j2), c2 in dc.comult(DPElem.basis(ctx, i2), 6, 6).items():
                 cr.accumulate(rhs, (i1, j1, j2), c * c2)
-        lhs = {k: v for k, v in lhs.items() if not v.is_zero()}
-        rhs = {k: v for k, v in rhs.items() if not v.is_zero()}
-        if lhs != rhs:
-            return False, f"coassociativity fails at basis index {i}"
+        yield (f"coassociativity fails at basis index {i}",
+               {k: v for k, v in lhs.items() if not v.is_zero()},
+               {k: v for k, v in rhs.items() if not v.is_zero()})
     return True, "basis indices i <= 6"
 
 
-def check_duality(cfg):
+@check("diffcalc.duality-pairing",
+       "<D<n>, w[k]> = Kronecker delta; composition dual to comultiplication")
+def check_duality(cfg, rng):
     p, m = cfg.p, cfg.m
     ctx = DPContext(p, m)
+    gen = dc.TwistedDiffOp.generator
     for n in range(5):
         for k in range(7):
-            val = dc.pairing(dc.TwistedDiffOp.generator(p, m, n), DPElem.basis(ctx, k))
-            want = CoordPoly(1 if n == k else 0)
-            if val != want:
-                return False, f"pairing of D<{n}> with w[{k}] is {val}"
+            val = dc.pairing(gen(p, m, n), DPElem.basis(ctx, k))
+            yield f"pairing of D<{n}> with w[{k}] is {val}", val, CoordPoly(1 if n == k else 0)
     for n1 in range(4):
         for n2 in range(4):
-            comp = dc.op_compose(dc.TwistedDiffOp.generator(p, m, n1),
-                                 dc.TwistedDiffOp.generator(p, m, n2))
+            comp = dc.op_compose(gen(p, m, n1), gen(p, m, n2))
             for i in range(7):
                 e = DPElem.basis(ctx, i)
-                lhs = dc.pairing(comp, e)
                 rhs = CoordPoly(())
                 for (i1, i2), c in dc.comult(e, 6, 6).items():
-                    rhs = rhs + c * dc.pairing(
-                        dc.TwistedDiffOp.generator(p, m, n1), DPElem.basis(ctx, i1)
-                    ) * dc.pairing(
-                        dc.TwistedDiffOp.generator(p, m, n2), DPElem.basis(ctx, i2))
-                if lhs != rhs:
-                    return False, f"duality fails at ({n1},{n2},{i})"
+                    rhs = rhs + (c * dc.pairing(gen(p, m, n1), DPElem.basis(ctx, i1))
+                                 * dc.pairing(gen(p, m, n2), DPElem.basis(ctx, i2)))
+                yield f"duality fails at ({n1},{n2},{i})", dc.pairing(comp, e), rhs
     return True, "basis pairing is Kronecker; composition is dual to comultiplication"
 
 
-def check_level_embedding(cfg):
+@check("diffcalc.level-embedding", "D<n> acts as (p^m)_q^n times the n-fold twisted derivative")
+def check_level_embedding(cfg, rng):
     p, m = cfg.p, cfg.m
     k = p ** m
     mult = LocScalar(q_int(k))
@@ -611,9 +635,8 @@ def check_level_embedding(cfg):
             oracle = f
             for _ in range(n):
                 oracle = cr.q_derivative(oracle, k)
-            oracle = oracle * mult ** n
-            if dc.op_apply(op, f) != oracle:
-                return False, f"embedding disagrees at (n={n}, d={d})"
+            yield (f"embedding disagrees at (n={n}, d={d})",
+                   dc.op_apply(op, f), oracle * mult ** n)
     return True, "generator action equals (p^m)_q^n times iterated derivative"
 
 
@@ -621,16 +644,16 @@ def check_level_embedding(cfg):
 # connect
 # ---------------------------------------------------------------------------
 
-def check_commute(cfg):
-    rng = cfg.rng("connect.commutation-identities")
+@check("connect.commutation-identities", "F sigma = sigma F and (p)_Q x^(p-1) F d = d F")
+def check_commute(cfg, rng):
     p = cfg.p
     for m in (1, 2):
         for i in range(cfg.commute_samples):
             f = _random_coordpoly(rng, p, SIDE_APRIME, deg=rng.randint(0, 8),
                                   sdeg=2, bound=6)
             rep = cn.commute_check(p, m, f)
-            if not (rep["twist_ok"] and rep["derivative_ok"]):
-                return False, f"identity fails at m={m}, sample {i}"
+            yield (f"identity fails at m={m}, sample {i}",
+                   (rep["twist_ok"], rep["derivative_ok"]), (True, True))
     return True, f"{cfg.commute_samples} samples per level, m in {{1, 2}}"
 
 
@@ -641,11 +664,11 @@ def _random_module(rng, p, m, side=SIDE_APRIME, max_rank=3):
     return cn.ConnModule(p, m, side, theta)
 
 
-def check_level_raise(cfg):
-    rng = cfg.rng("connect.level-raise-leibniz-roundtrip")
+@check("connect.level-raise-leibniz-roundtrip",
+       "raised modules satisfy the raised Leibniz rule; descent inverts")
+def check_level_raise(cfg, rng):
     combos = [(p, m) for p in (2, 3) for m in (1, 2)]
     per = max(cfg.module_samples // len(combos), 1)
-    count = 0
     for p, m in combos:
         k_raised = p ** (m - 1)
         mult = LocScalar(q_int(k_raised))
@@ -656,33 +679,29 @@ def check_level_raise(cfg):
                 f = _random_coordpoly(rng, p, SIDE_A, deg=2, sdeg=1, bound=4)
                 vec = [_random_coordpoly(rng, p, SIDE_A, deg=2, sdeg=1, bound=4)
                        for _ in range(mod.rank)]
-                lhs = cn.theta_apply(raised, [f * v for v in vec])
                 tv = cn.theta_apply(raised, vec)
-                rhs = [cr.q_derivative(f, k_raised) * mult * v
-                       + cr.sigma_power(f, k_raised) * t
-                       for v, t in zip(vec, tv)]
-                if lhs != rhs:
-                    return False, f"raised Leibniz fails at (p={p}, m={m}, sample {i})"
-            if cn.descent_solve(raised) != mod:
-                return False, f"round trip fails at (p={p}, m={m}, sample {i})"
-            count += 1
-    return True, f"{count} random modules of rank <= 3, Leibniz and round trip"
+                yield (f"raised Leibniz fails at (p={p}, m={m}, sample {i})",
+                       cn.theta_apply(raised, [f * v for v in vec]),
+                       [cr.q_derivative(f, k_raised) * mult * v
+                        + cr.sigma_power(f, k_raised) * t for v, t in zip(vec, tv)])
+            yield (f"round trip fails at (p={p}, m={m}, sample {i})",
+                   cn.descent_solve(raised), mod)
+    return True, f"{per * len(combos)} random modules of rank <= 3, Leibniz and round trip"
 
 
-def check_descent_negative(cfg):
+@check("connect.descent-negative", "descent rejects matrices outside the Frobenius image")
+def check_descent_negative(cfg, rng):
     p = cfg.p
     bad = cn.ConnModule(p, 0, SIDE_A, [[CoordPoly.monomial(1, p)]])
-    if cn.descent_solve(bad) is not None:
-        return False, "x^p should have no same-basis descent"
-    triv = cn.ConnModule.trivial(p, 0, SIDE_A, 2)
-    sol = cn.descent_solve(triv)
-    if sol != cn.ConnModule.trivial(p, 1, SIDE_APRIME, 2):
-        return False, "zero matrix should descend to zero"
+    yield "x^p should have no same-basis descent", cn.descent_solve(bad) is None, True
+    yield ("zero matrix should descend to zero",
+           cn.descent_solve(cn.ConnModule.trivial(p, 0, SIDE_A, 2)),
+           cn.ConnModule.trivial(p, 1, SIDE_APRIME, 2))
     return True, "x^p rejected; zero matrix descends"
 
 
-def check_raise_functoriality(cfg):
-    rng = cfg.rng("connect.raise-functoriality")
+@check("connect.raise-functoriality", "intertwiners map to intertwiners under level raising")
+def check_raise_functoriality(cfg, rng):
     p = cfg.p
     for m in (1, 2):
         k = p ** m
@@ -700,13 +719,13 @@ def check_raise_functoriality(cfg):
             rhs = _mat_mul(uT, m1.theta)
             theta2 = _solve_right_unipotent(rhs, u, SIDE_APRIME)
             m2 = cn.ConnModule(p, m, SIDE_APRIME, theta2)
-            if not _intertwines(m1, m2, uT, k, mult):
-                return False, f"construction broken at (m={m}, sample {i})"
+            yield (f"construction broken at (m={m}, sample {i})",
+                   _intertwines(m1, m2, uT, k, mult), True)
             r1, r2 = cn.level_raise(m1), cn.level_raise(m2)
             uA = [[CoordPoly(u[a][b], SIDE_A) for b in range(r)] for a in range(r)]
             k_lo = p ** (m - 1)
-            if not _intertwines(r1, r2, uA, k_lo, LocScalar(q_int(k_lo))):
-                return False, f"raised intertwiner fails at (m={m}, sample {i})"
+            yield (f"raised intertwiner fails at (m={m}, sample {i})",
+                   _intertwines(r1, r2, uA, k_lo, LocScalar(q_int(k_lo))), True)
     return True, "constant unipotent intertwiners survive level raising, m in {1, 2}"
 
 
@@ -746,41 +765,40 @@ def _intertwines(m1, m2, umat, k, mult):
     return True
 
 
-def check_pullback_well_defined(cfg):
-    rng = cfg.rng("connect.pullback-well-defined")
+@check("connect.pullback-well-defined", "theta(F(f) (x) s) = theta(1 (x) f s)")
+def check_pullback_well_defined(cfg, rng):
     p = cfg.p
     for m in (1, 2):
+        k = p ** m
         for i in range(100):
             g = _random_coordpoly(rng, p, SIDE_APRIME, deg=2, sdeg=1, bound=4)
-            mod = cn.ConnModule(p, m, SIDE_APRIME, [[g]])
-            raised = cn.level_raise(mod)
+            raised = cn.level_raise(cn.ConnModule(p, m, SIDE_APRIME, [[g]]))
             f = _random_coordpoly(rng, p, SIDE_APRIME, deg=3, sdeg=1, bound=4)
-            lhs = cn.theta_apply(raised, [cr.rel_frobenius(f, p)])[0]
-            k = p ** m
             inner = (cr.q_derivative(f, k) * LocScalar(q_int(k))
                      + cr.sigma_power(f, k) * g)
-            rhs = CoordPoly.monomial(1, p - 1) * cr.rel_frobenius(inner, p)
-            if lhs != rhs:
-                return False, f"two evaluations differ at (m={m}, sample {i})"
+            yield (f"two evaluations differ at (m={m}, sample {i})",
+                   cn.theta_apply(raised, [cr.rel_frobenius(f, p)])[0],
+                   CoordPoly.monomial(1, p - 1) * cr.rel_frobenius(inner, p))
     return True, "theta(F(f) e) agrees with theta(1 (x) f e), 100 samples per level"
 
 
-def check_quasi_nilpotence(cfg):
-    p = cfg.p
-    trunc = cn.TruncationSpec(cfg.trunc_N, cfg.deg_d)
-    triv1 = cn.ConnModule.trivial(p, cfg.m, SIDE_A, 1)
-    triv2 = cn.ConnModule.trivial(p, cfg.m, SIDE_A, 2)
-    if not cn.quasi_nilpotence_check(triv1, trunc, cfg.trunc_N):
-        return False, "trivial rank-1 module is not quasi-nilpotent"
-    if not cn.quasi_nilpotence_check(triv2, trunc, cfg.trunc_N):
-        return False, "trivial rank-2 module is not quasi-nilpotent"
+@check("connect.quasi-nilpotence",
+       "iterated derivation dies modulo (p, q-1)^N on trivial modules")
+def check_quasi_nilpotence(cfg, rng):
+    p, N = cfg.p, cfg.trunc_N
+    trunc = cn.TruncationSpec(N, cfg.deg_d)
+    for rank in (1, 2):
+        triv = cn.ConnModule.trivial(p, cfg.m, SIDE_A, rank)
+        yield (f"trivial rank-{rank} module is not quasi-nilpotent",
+               cn.quasi_nilpotence_check(triv, trunc, N), True)
     ident = cn.ConnModule(p, 0, SIDE_A, [[CoordPoly(1)]])
-    if cn.quasi_nilpotence_check(ident, trunc, 2 * cfg.trunc_N + 4):
-        return False, "level-0 identity derivation should not be quasi-nilpotent"
+    yield ("level-0 identity derivation should not be quasi-nilpotent",
+           cn.quasi_nilpotence_check(ident, trunc, 2 * N + 4), False)
     return True, "trivial modules vanish within N steps; identity never does"
 
 
-def check_h0_bruteforce(cfg):
+@check("connect.h0-bruteforce", "truncated kernel generators span the enumerated kernel")
+def check_h0_bruteforce(cfg, rng):
     p = cfg.p
     trunc = cn.TruncationSpec(cfg.trunc_N, cfg.deg_d)
     mod = cn.ConnModule.trivial(p, cfg.m, SIDE_A, 1)
@@ -796,11 +814,9 @@ def check_h0_bruteforce(cfg):
         if all(cn.coordpoly_vanishes(v, p, trunc.N) for v in img):
             count += 1
     span = _span_size(gens, elements, p, trunc.N)
-    if span != count:
-        return False, f"generators span {span} of {count} kernel elements"
-    zero = cn.ConnModule.trivial(p, cfg.m, SIDE_A, 0)
-    if cn.h0_truncated(zero, trunc) != []:
-        return False, "zero module has nonempty kernel basis"
+    yield f"generators span {span} of {count} kernel elements", span, count
+    yield ("zero module has nonempty kernel basis",
+           cn.h0_truncated(cn.ConnModule.trivial(p, cfg.m, SIDE_A, 0), trunc), [])
     return True, f"generators span the brute-force kernel ({count} elements)"
 
 
@@ -817,139 +833,8 @@ def _span_size(gens, ring, p, N):
 
 
 # ---------------------------------------------------------------------------
-# registry
+# runner
 # ---------------------------------------------------------------------------
-
-SUITES = {
-    "qarith": [
-        ("qarith.pascal-recurrences",
-         "C(n,k)_q = C(n-1,k-1)_q + q^k C(n-1,k)_q and the mirrored form",
-         check_pascal),
-        ("qarith.factorial-frobenius-compat",
-         "q -> q^p sends (n)_q! to (n)_{q^p}!",
-         check_factorial_frobenius),
-        ("qarith.binomial-polynomiality",
-         "(n)_q! / ((k)_q! (n-k)_q!) is a polynomial equal to C(n,k)_q",
-         check_binomial_quotient),
-        ("qarith.exact-division-roundtrip",
-         "divide_exact(z*d, d) = z for d in {p, (p)_q}",
-         check_division_roundtrip),
-        ("qarith.fraction-field-agreement",
-         "localized arithmetic embeds in Q(q) arithmetic",
-         check_fraction_agreement),
-    ],
-    "coordring": [
-        ("coordring.frobenius-multiplicative",
-         "phi(fg) = phi(f) phi(g)", check_phi_multiplicative),
-        ("coordring.frobenius-mod-p",
-         "phi(f) = f^p mod p", check_phi_congruence),
-        ("coordring.twisted-leibniz",
-         "d(fg) = d(f) g + sigma(f) d(g) at twists q^k", check_twisted_leibniz),
-        ("coordring.relative-absolute-frobenius",
-         "relative Frobenius after pullback is the absolute one",
-         check_relative_absolute),
-        ("coordring.rank-p-freeness",
-         "f = sum_{i<p} F(g_i) x^i uniquely", check_rank_p_freeness),
-        ("coordring.tensor-reduction",
-         "x2^p = x1^p in the tensor square over the Frobenius pullback",
-         check_tensor_reduction),
-    ],
-    "divpow": [
-        ("divpow.mul-associative-commutative",
-         "divided-power multiplication is a commutative ring law",
-         check_dp_assoc_comm),
-        ("divpow.factorial-map-multiplicative",
-         "xi^(n) -> (n)_Q! xi^[n] is a ring map", check_factorial_map),
-        ("divpow.blowup-multiplicative",
-         "xi -> (p^m)_q w extends to a ring map on divided powers",
-         check_blowup_multiplicative),
-        ("divpow.generic-specialization",
-         "generic-parameter constants specialize to the closed form",
-         check_generic_specialization),
-        ("divpow.base-change-multiplicative",
-         "xi^[n]_{q,y} -> xi^[n]_{q^p,y'} is a ring map",
-         check_base_change_multiplicative),
-    ],
-    "frobdiv": [
-        ("frobdiv.a-lower-vanishing", "a(n,i) = 0 for i < n",
-         check_a_lower_vanishing),
-        ("frobdiv.b-in-localization",
-         "b(n,i) in the localization; b(n,pn) = prod (kp-j)_q, a unit",
-         check_b_integrality),
-        ("frobdiv.divided-frobenius-multiplicative",
-         "[F](uv) = [F](u) [F](v)", check_divf_multiplicative),
-        ("frobdiv.divided-frobenius-example",
-         "[F](w) = x xi[1] + xi[2] at p = 2", check_divf_example),
-        ("frobdiv.frobenius-lift-example",
-         "phi(xi) = (1+q) xi[2] + (1+q) x xi and phi(w) = (1+q)^2 w[2] + (1+q) x w",
-         check_frobenius_lift_example),
-        ("frobdiv.phi-multiplicative",
-         "the level -1 Frobenius lift is a ring map", check_phi_dp_multiplicative),
-        ("frobdiv.phi-frobenius-congruence",
-         "phi(e) - e^p is exactly divisible by p", check_phi_dp_congruence),
-        ("frobdiv.phi-level-zero-compat",
-         "phi on level 0 factors through base change, blow-up and [F]",
-         check_phi_level_zero_formula),
-        ("frobdiv.delta-xi-blowup",
-         "the blow-up intertwines the polynomial and divided-power lifts",
-         check_delta_xi_blowup),
-        ("frobdiv.delta-xi-rank-one",
-         "delta(xi) = sum (1/p) C(p,i) x^(p-i) xi^i; x + xi has rank one",
-         check_delta_xi_rank_one),
-        ("frobdiv.envelope-basis",
-         "delta^r(w) = c_r w[p^r] + lower, c_r a unit; q = 1 valuations p^(r+1) and 1",
-         check_envelope),
-        ("frobdiv.v-basis-triangular",
-         "products of delta-iterates form a triangular basis with unit diagonal",
-         check_v_basis),
-        ("frobdiv.u-consistency",
-         "(p)_q! u(xi^[p]) matches the twisted-power image; u kills [F] images",
-         check_u_consistency),
-    ],
-    "diffcalc": [
-        ("diffcalc.compose-associative", "operator composition is associative",
-         check_op_assoc),
-        ("diffcalc.action-respects-composition",
-         "apply(compose(a,b)) = apply(a, apply(b, .))", check_op_action),
-        ("diffcalc.compose-generators",
-         "D<n1> o D<n2> = D<n1+n2>; commutation rule moves x left",
-         check_op_generators),
-        ("diffcalc.taylor-multiplicative",
-         "taylor(fg) = taylor(f) taylor(g) mod support > N",
-         check_taylor_multiplicative),
-        ("diffcalc.taylor-values",
-         "taylor(x) = x + (p^m)_q w; taylor(1) = 1", check_taylor_values),
-        ("diffcalc.comult-coassociative",
-         "w[i] -> sum w[i1] (x) w[i2] is coassociative", check_comult_coassoc),
-        ("diffcalc.duality-pairing",
-         "<D<n>, w[k]> = Kronecker delta; composition dual to comultiplication",
-         check_duality),
-        ("diffcalc.level-embedding",
-         "D<n> acts as (p^m)_q^n times the n-fold twisted derivative",
-         check_level_embedding),
-    ],
-    "connect": [
-        ("connect.commutation-identities",
-         "F sigma = sigma F and (p)_Q x^(p-1) F d = d F", check_commute),
-        ("connect.level-raise-leibniz-roundtrip",
-         "raised modules satisfy the raised Leibniz rule; descent inverts",
-         check_level_raise),
-        ("connect.descent-negative",
-         "descent rejects matrices outside the Frobenius image",
-         check_descent_negative),
-        ("connect.raise-functoriality",
-         "intertwiners map to intertwiners under level raising",
-         check_raise_functoriality),
-        ("connect.pullback-well-defined",
-         "theta(F(f) (x) s) = theta(1 (x) f s)", check_pullback_well_defined),
-        ("connect.quasi-nilpotence",
-         "iterated derivation dies modulo (p, q-1)^N on trivial modules",
-         check_quasi_nilpotence),
-        ("connect.h0-bruteforce",
-         "truncated kernel generators span the enumerated kernel",
-         check_h0_bruteforce),
-    ],
-}
 
 SUITE_NAMES = tuple(SUITES) + ("all",)
 
@@ -957,7 +842,7 @@ SUITE_NAMES = tuple(SUITES) + ("all",)
 def run_suite(name, cfg):
     """Run one suite (or all); returns a list of check dicts sorted by id."""
     if name == "all":
-        suites = [s for s in SUITES]
+        suites = list(SUITES)
     elif name in SUITES:
         suites = [name]
     else:

@@ -302,3 +302,23 @@ def test_internal_error_exits_three(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert "internal error: SideMismatchError: forced internal fault" in err
+
+
+@pytest.mark.parametrize("num", [[1.7], [True], "12", ["1_0"], [" 7"]],
+                         ids=["float", "bool", "string", "underscore", "space"])
+def test_taylor_rejects_non_integer_coefficients(tmp_path, capsys, num):
+    doc = tmp_path / "malformed.json"
+    doc.write_text(json.dumps({"side": "A", "coeffs": [{"num": num, "den": ["1"]}]}))
+    code, out, err = run(capsys, "taylor", str(doc), "--p", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "decimal strings" in err
+
+
+def test_out_to_unwritable_path_exits_two(tmp_path, capsys):
+    target = tmp_path / "missing-dir" / "x.json"
+    code, out, err = run(capsys, "coeffs", "--n-max", "0", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert "internal error" not in err and not target.exists()

@@ -16,14 +16,13 @@ import json
 import sys
 
 from .coordring import CoordPoly, SIDE_A, SIDE_APRIME
-from .divpow import DPElem, Y_LEVEL
+from .divpow import DPElem, LEVELS, PRIMES
 from .frobdiv import (FrobCoeffTable, MembershipError, default_r_max,
                       divided_frobenius, envelope_basis_check,
-                      u_consistency_check)
+                      level_minus_one_ctx, u_consistency_check)
 from .diffcalc import taylor
 from .verify import SUITE_NAMES, VerifyConfig, run_suite
 
-PRIMES = (2, 3, 5, 7)
 DEFAULTS = VerifyConfig()    # the defaults of --p, --m, --n-max and of verify's bounds
 
 
@@ -46,7 +45,7 @@ def _add_common(sp, m=False, n_max=False, with_csv=False):
 def _validate(args):
     if args.p not in PRIMES:
         raise UsageError(f"--p must be one of {PRIMES}, got {args.p}")
-    if not 0 <= getattr(args, "m", 0) <= 3:
+    if getattr(args, "m", 0) not in LEVELS:
         raise UsageError(f"--m must be in 0..3, got {args.m}")
     if ((getattr(args, "n_max", 0) or 0) < 0 or (getattr(args, "r_max", 0) or 0) < 0
             or getattr(args, "trunc_N", 1) < 1 or getattr(args, "deg_d", 0) < 0):
@@ -178,7 +177,7 @@ def cmd_frobenius(args):
     ctx = e.ctx
     if ctx.p != args.p:
         raise UsageError(f"document prime {ctx.p} != --p {args.p}")
-    if ctx.m != 1 or ctx.side != SIDE_APRIME or ctx.y_mode != Y_LEVEL or ctx.qexp != 1:
+    if ctx != level_minus_one_ctx(ctx.p, SIDE_APRIME, ctx.cap):
         raise UsageError("input must be a level -1 element over the pullback side")
     for n, c in sorted(e.terms.items()):
         _check_localized(c, ctx.p, f"term {n}, ")

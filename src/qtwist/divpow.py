@@ -1,24 +1,21 @@
 """Twisted powers and twisted divided-power algebras.
 
-A context fixes a prime p, a level parameter m >= 0, a twist mode and a
-side.  The underlying twist variable is Q := q^(qexp * p^m) where qexp
-is 1 on side A and may become p after base change.  The twist parameter
-y is, per mode:
+A context fixes a prime p, a level parameter m >= 0, a twist mode, a side
+and a degree cap.  The twist variable is Q := q^(qexp * p^m) where qexp is
+1 on side A and may become p after base change.  The twist parameter y is:
 
 * ``"level"``     y = (1 - q^qexp) x      (divided powers of level -m)
 * ``"standard"``  y = (1 - Q) x           (ordinary twist at Q)
-* ``"generic"``   y is its own symbol; coefficients are read as
-                  polynomials in y instead of x.
 
 Basis symbols are written xi^[n] below; they multiply by
 
     xi^[n1] xi^[n2] =
         sum_i (-1)^i Q^(i(i-1)/2) C(n1, i)_Q C(n1+n2-i, n1)_Q y^i xi^[n1+n2-i]
 
-over 0 <= i <= min(n1, n2).  For concrete modes the constants are taken
-from this closed form; for generic y they are recomputed independently in
-Q(q) by clearing q-factorials out of products of twisted powers, with an
-integrality assertion (the two routes agreeing is part of the test suite).
+over 0 <= i <= min(n1, n2), with the constants taken from this closed
+form.  ``_struct_consts_oracle`` recomputes them independently in Q(q) by
+clearing q-factorials out of products of twisted powers, with an
+integrality assertion; it is only the reference the checks compare with.
 
 The divided powers are formal basis symbols: the algebra is never embedded
 in a polynomial ring, since the q-factorials are not invertible here.
@@ -26,6 +23,7 @@ in a polynomial ring, since the q-factorials are not invertible here.
 
 from __future__ import annotations
 
+from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 
 from .qarith import (LocScalar, ONE, QPoly, q_binomial, q_binomial_pow,
@@ -34,8 +32,9 @@ from .coordring import (CoordPoly, DenseModule, SIDE_A, SIDE_APRIME,
                         SideMismatchError, SparseModule, accumulate, pullback_map)
 
 DEFAULT_DEGREE_CAP = 16
+PRIMES = (2, 3, 5, 7)
+LEVELS = range(4)            # the level parameter m; the algebra has level -m
 
-Y_GENERIC = "generic"
 Y_LEVEL = "level"
 Y_STANDARD = "standard"
 
@@ -48,27 +47,26 @@ class IntegralityError(ArithmeticError):
     """A structure constant failed to normalize into the base ring."""
 
 
+@dataclass(frozen=True, slots=True)
 class DPContext:
-    """Parameters of a twisted divided-power algebra."""
+    """Parameters of a twisted divided-power algebra; equality compares every field."""
 
-    __slots__ = ("p", "m", "y_mode", "side", "qexp", "cap")
+    p: int
+    m: int = 0
+    y_mode: str = Y_LEVEL
+    side: str = SIDE_A
+    qexp: int = 1
+    cap: int = DEFAULT_DEGREE_CAP
 
-    def __init__(self, p, m=0, y_mode=Y_LEVEL, side=SIDE_A, qexp=1,
-                 cap=DEFAULT_DEGREE_CAP):
-        if p not in (2, 3, 5, 7):
+    def __post_init__(self):
+        if self.p not in PRIMES:
             raise ValueError("desk-scale contexts support p in {2, 3, 5, 7}")
-        if not 0 <= m <= 3:
+        if self.m not in LEVELS:
             raise ValueError("level parameter m must be in 0..3")
-        if y_mode not in (Y_GENERIC, Y_LEVEL, Y_STANDARD):
-            raise ValueError(f"unknown y_mode {y_mode!r}")
-        if side not in (SIDE_A, SIDE_APRIME):
-            raise SideMismatchError(f"unknown side {side!r}")
-        self.p = p
-        self.m = m
-        self.y_mode = y_mode
-        self.side = side
-        self.qexp = qexp
-        self.cap = cap
+        if self.y_mode not in (Y_LEVEL, Y_STANDARD):
+            raise ValueError(f"unknown y_mode {self.y_mode!r}")
+        if self.side not in (SIDE_A, SIDE_APRIME):
+            raise SideMismatchError(f"unknown side {self.side!r}")
 
     @property
     def twist(self):
@@ -76,36 +74,16 @@ class DPContext:
         return self.qexp * self.p ** self.m
 
     def y_scale(self):
-        """The scalar c with y = c*x, or None in generic mode."""
-        if self.y_mode == Y_GENERIC:
-            return None
-        if self.y_mode == Y_LEVEL:
-            return ONE - QPoly((0,) * self.qexp + (1,))
-        return ONE - QPoly((0,) * self.twist + (1,))
+        """The scalar c with y = c*x."""
+        e = self.qexp if self.y_mode == Y_LEVEL else self.twist
+        return ONE - QPoly((0,) * e + (1,))
 
     def y_coordpoly(self):
-        """y as a CoordPoly (the bare symbol in generic mode)."""
-        c = self.y_scale()
-        if c is None:
-            return CoordPoly.x(self.side)
-        return CoordPoly.monomial(c, 1, self.side)
-
-    def __eq__(self, other):
-        if not isinstance(other, DPContext):
-            return NotImplemented
-        return (self.p, self.m, self.y_mode, self.side, self.qexp) == \
-               (other.p, other.m, other.y_mode, other.side, other.qexp)
-
-    def __hash__(self):
-        return hash((self.p, self.m, self.y_mode, self.side, self.qexp))
-
-    def __repr__(self):
-        return (f"DPContext(p={self.p}, m={self.m}, y_mode={self.y_mode!r}, "
-                f"side={self.side!r}, qexp={self.qexp})")
+        """y as a CoordPoly."""
+        return CoordPoly.monomial(self.y_scale(), 1, self.side)
 
     def to_json(self):
-        return {"p": self.p, "m": self.m, "y_mode": self.y_mode,
-                "side": self.side, "qexp": self.qexp, "cap": self.cap}
+        return asdict(self)
 
     @classmethod
     def from_json(cls, data):
@@ -228,22 +206,13 @@ def _struct_consts_oracle(n1, n2):
 
 
 def dp_structure_terms(ctx, n1, n2):
-    """Terms of the product of basis elements n1 and n2.
+    """Terms of the product of basis elements n1 and n2, by the closed form.
 
-    Yields (index, CoordPoly coefficient) pairs; uses the closed form for
-    concrete y and the field oracle for generic y.
+    Yields (index, CoordPoly coefficient) pairs.
     """
-    if ctx.y_mode == Y_GENERIC:
-        consts = tuple((i, g.stretch(ctx.twist))
-                       for i, g in _struct_consts_oracle(n1, n2))
-        c = None
-    else:
-        consts = _struct_consts_closed(n1, n2, ctx.twist)
-        c = ctx.y_scale()
-    for i, g in consts:
-        sign = -1 if i % 2 else 1
-        scal = g * sign if c is None else g * sign * c ** i
-        yield n1 + n2 - i, CoordPoly.monomial(scal, i, ctx.side)
+    c = -ctx.y_scale()
+    for i, g in _struct_consts_closed(n1, n2, ctx.twist):
+        yield n1 + n2 - i, CoordPoly.monomial(g * c ** i, i, ctx.side)
 
 
 def twisted_power_mul(n1, n2, ctx):
@@ -362,9 +331,8 @@ def blowup(e, z, target_ctx):
         raise ValueError("blow-up factor must be a scalar")
     if (src.twist, src.side) != (target_ctx.twist, target_ctx.side):
         raise ValueError("blow-up requires matching twist variable and side")
-    if src.y_mode != Y_GENERIC and target_ctx.y_mode != Y_GENERIC:
-        if e.ctx.y_coordpoly() != z * target_ctx.y_coordpoly():
-            raise ValueError("blow-up factor does not relate the twist parameters")
+    if src.y_coordpoly() != z * target_ctx.y_coordpoly():
+        raise ValueError("blow-up factor does not relate the twist parameters")
     out = {}
     for n, c in e.terms.items():
         out[n] = c * z ** n
@@ -380,6 +348,5 @@ def frobenius_base_change(e):
     ctx = e.ctx
     if ctx.side != SIDE_A or ctx.qexp != 1:
         raise SideMismatchError("base change starts from side A at qexp 1")
-    new_ctx = DPContext(ctx.p, ctx.m, ctx.y_mode, SIDE_APRIME, ctx.p, ctx.cap)
-    return DPElem(new_ctx,
+    return DPElem(replace(ctx, side=SIDE_APRIME, qexp=ctx.p),
                   {n: pullback_map(c, ctx.p) for n, c in e.terms.items()})

@@ -37,8 +37,8 @@ from .qarith import (LocScalar, ONE, QPoly, cyclotomic,
 from .coordring import (BiCoordPoly, CoordPoly, SIDE_A, SIDE_APRIME, phi_abs,
                         rel_frobenius, tensor_diagonal_generator,
                         tensor_embed_left)
-from .divpow import (DPContext, DPElem, XiPoly, Y_LEVEL, blowup,
-                     frobenius_base_change, twisted_power_expand)
+from .divpow import (DEFAULT_DEGREE_CAP, DPContext, DPElem, XiPoly, Y_LEVEL,
+                     blowup, frobenius_base_change, twisted_power_expand)
 
 
 class MembershipError(ArithmeticError):
@@ -154,14 +154,12 @@ class FrobCoeffTable:
 # the divided Frobenius and the induced structure on level -1
 # ---------------------------------------------------------------------------
 
-def level_minus_one_ctx(p, side=SIDE_A, cap=None):
-    kw = {} if cap is None else {"cap": cap}
-    return DPContext(p, 1, Y_LEVEL, side, 1, **kw)
+def level_minus_one_ctx(p, side=SIDE_A, cap=DEFAULT_DEGREE_CAP):
+    return DPContext(p, 1, Y_LEVEL, side, 1, cap)
 
 
-def level_zero_ctx(p, side=SIDE_A, cap=None):
-    kw = {} if cap is None else {"cap": cap}
-    return DPContext(p, 0, Y_LEVEL, side, 1, **kw)
+def level_zero_ctx(p, side=SIDE_A, cap=DEFAULT_DEGREE_CAP):
+    return DPContext(p, 0, Y_LEVEL, side, 1, cap)
 
 
 def divided_frobenius(e):
@@ -171,7 +169,7 @@ def divided_frobenius(e):
     through the relative Frobenius.
     """
     ctx = e.ctx
-    if ctx.m != 1 or ctx.side != SIDE_APRIME or ctx.y_mode != Y_LEVEL or ctx.qexp != 1:
+    if ctx != level_minus_one_ctx(ctx.p, SIDE_APRIME, ctx.cap):
         raise ValueError("divided_frobenius expects level -1 over A'")
     p = ctx.p
     out_ctx = level_zero_ctx(p, cap=ctx.cap)
@@ -188,7 +186,7 @@ def divided_frobenius(e):
 def phi_dp(e):
     """Frobenius lift on the level -1 algebra (same algebra, semilinear)."""
     ctx = e.ctx
-    if ctx.m != 1 or ctx.y_mode != Y_LEVEL or ctx.qexp != 1:
+    if ctx != level_minus_one_ctx(ctx.p, ctx.side, ctx.cap):
         raise ValueError("phi_dp expects a level -1 context")
     p = ctx.p
     pq = q_int(p)
@@ -243,7 +241,7 @@ def phi_level_zero(e):
     (p)_q times the level -1 generator along the way.
     """
     ctx = e.ctx
-    if ctx.m != 0 or ctx.side != SIDE_A or ctx.y_mode != Y_LEVEL or ctx.qexp != 1:
+    if ctx != level_zero_ctx(ctx.p, cap=ctx.cap):
         raise ValueError("phi_level_zero expects level 0 over A")
     moved = frobenius_base_change(e)
     tgt = level_minus_one_ctx(ctx.p, SIDE_APRIME, cap=ctx.cap)
@@ -277,7 +275,7 @@ def default_r_max(p):
 
 
 @lru_cache(maxsize=None)
-def delta_iterates(p, r_max, cap=None):
+def delta_iterates(p, r_max, cap=DEFAULT_DEGREE_CAP):
     """(w, delta(w), ..., delta^r_max(w)) on level -1 over A."""
     ctx = level_minus_one_ctx(p, cap=cap)
     out = [DPElem.basis(ctx, 1)]
@@ -442,7 +440,7 @@ def u_closed_formula(p):
 def u_apply(e):
     """Extend the diagonal map to a level 0 divided-power element over A."""
     ctx = e.ctx
-    if ctx.m != 0 or ctx.side != SIDE_A or ctx.y_mode != Y_LEVEL:
+    if ctx != level_zero_ctx(ctx.p, cap=ctx.cap):
         raise ValueError("u_apply expects level 0 over A")
     p = ctx.p
     out = BiCoordPoly(p)

@@ -363,16 +363,6 @@ class QPoly:
             return self
         return QPoly._raw(_divexact(self.coeffs, other.coeffs))
 
-    def divides(self, other):
-        try:
-            other.divexact(self)
-            return True
-        except NotDivisibleError:
-            return False
-
-    def content(self):
-        return _content(self.coeffs)
-
     # -- presentation -----------------------------------------------------------
 
     def __repr__(self):
@@ -740,11 +730,12 @@ def divide_by_cyclotomic_product(z, factors):
     extra = ONE
     for d, e in sorted(factors.items()):
         phi = cyclotomic(d)
-        for _ in range(e):
+        for k in range(e):
             try:
                 num = num.divexact(phi)
-            except NotDivisibleError:
-                extra = extra * phi
+            except NotDivisibleError:        # num is unchanged: the rest fail too
+                extra = extra * phi ** (e - k)
+                break
     return z._from_pair(num.coeffs, (z.den * extra).coeffs)
 
 

@@ -4,8 +4,8 @@ import pytest
 
 from qtwist.qarith import QPoly, Q, q_factorial, q_int
 from qtwist.coordring import CoordPoly, SIDE_A, SIDE_APRIME
-from qtwist.divpow import (DegreeCapError, DPContext, DPElem, XiPoly, Y_GENERIC,
-                           Y_LEVEL, Y_STANDARD, blowup, dp_structure_terms,
+from qtwist.divpow import (DegreeCapError, DPContext, DPElem, XiPoly, Y_LEVEL,
+                           Y_STANDARD, _struct_consts_oracle, blowup,
                            frobenius_base_change, to_twisted_basis,
                            twisted_power_expand, twisted_power_mul)
 
@@ -20,12 +20,6 @@ def test_twisted_power_expand_basics():
     ctx = ctx_level(2, 0)
     assert twisted_power_expand(0, ctx) == XiPoly((CoordPoly(1),))
     assert twisted_power_expand(1, ctx) == XiPoly.gen()
-    ctxg = DPContext(2, 0, Y_GENERIC)
-    t2 = twisted_power_expand(2, ctxg)
-    # xi^2 + y*xi with the generic symbol in the coefficient slot
-    assert t2.coeff(2) == CoordPoly(1)
-    assert t2.coeff(1) == CoordPoly.x()
-    assert t2.coeff(0).is_zero()
 
 
 def test_twisted_power_expand_level():
@@ -41,7 +35,7 @@ def test_twisted_power_expand_level():
 
 @pytest.mark.parametrize("p,m,mode", [
     (2, 0, Y_LEVEL), (2, 1, Y_LEVEL), (3, 1, Y_LEVEL),
-    (2, 1, Y_STANDARD), (2, 0, Y_GENERIC),
+    (2, 1, Y_STANDARD),
 ])
 def test_twisted_power_mul_against_expansion(p, m, mode):
     ctx = DPContext(p, m, mode)
@@ -54,13 +48,14 @@ def test_twisted_power_mul_against_expansion(p, m, mode):
 
 
 def test_twisted_power_mul_closed_values():
-    ctx = DPContext(2, 0, Y_GENERIC)
+    ctx = DPContext(2, 0, Y_STANDARD)
+    y = ctx.y_coordpoly()
     out = twisted_power_mul(1, 1, ctx)
     assert out[2] == CoordPoly(1)
-    assert out[1] == -CoordPoly.x()            # -y
+    assert out[1] == -y
     out = twisted_power_mul(2, 1, ctx)
     assert out[3] == CoordPoly(1)
-    assert out[2] == -(q_int(2) * CoordPoly.x())   # -(1+q) y
+    assert out[2] == -(q_int(2) * y)           # -(1+q) y
 
 
 def test_dp_identity_and_examples():
@@ -102,13 +97,12 @@ def test_factorial_map_is_ring_hom(p, m):
             assert lhs == rhs
 
 
-def test_generic_structure_constants_are_integral():
-    ctx = DPContext(2, 0, Y_GENERIC)
+def test_oracle_structure_constants_are_integral():
+    # the oracle raises IntegralityError on a constant outside Z[q]
     for n1 in range(7):
         for n2 in range(7):
-            for idx, c in dp_structure_terms(ctx, n1, n2):
-                for s in c.coeffs:
-                    assert s.is_polynomial()
+            for i, g in _struct_consts_oracle(n1, n2):
+                assert isinstance(g, QPoly)
 
 
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2)])
@@ -168,3 +162,26 @@ def test_dpelem_serialization():
     back = DPElem.from_json(e.to_json())
     assert back == e
     assert back.ctx == ctx
+
+
+def test_mixed_caps_fail_alike_in_either_order():
+    a = DPElem.basis(DPContext(2, 1, cap=16), 10)
+    b = DPElem.basis(DPContext(2, 1, cap=40), 10)
+    for u, v in ((a, b), (b, a)):
+        with pytest.raises(ValueError, match="context mismatch"):
+            u * v
+        with pytest.raises(ValueError, match="context mismatch"):
+            u + v
+
+
+def test_generic_y_mode_is_rejected():
+    with pytest.raises(ValueError, match="unknown y_mode"):
+        DPContext(2, y_mode="generic")
+
+
+def test_context_json_key_order_and_roundtrip():
+    ctx = DPContext(3, 2, Y_STANDARD, SIDE_APRIME, 3, cap=24)
+    data = ctx.to_json()
+    assert list(data) == ["p", "m", "y_mode", "side", "qexp", "cap"]
+    assert DPContext.from_json(data) == ctx
+    assert DPContext.from_json({**data, "cap": 16}) != ctx     # the cap is identity

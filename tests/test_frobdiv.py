@@ -3,7 +3,7 @@ import pytest
 from qtwist.qarith import (LocScalar, ONE, QPoly, Q, is_unit,
                            q_factorial, q_int)
 from qtwist.coordring import CoordPoly, SIDE_A, SIDE_APRIME
-from qtwist.divpow import DPElem, XiPoly, to_twisted_basis
+from qtwist.divpow import DPContext, DPElem, XiPoly, to_twisted_basis
 from qtwist.frobdiv import (FrobCoeffTable, coeff_a, coeff_b, delta_dp,
                             divided_frobenius, envelope_basis_check,
                             leading_coeff_product, level_minus_one_ctx,
@@ -230,6 +230,14 @@ def test_u_p2_closed_value():
     u2 = u_of_divided_power(2, 2)
     assert u2.terms == {(2, 0): LocScalar(ONE), (1, 1): LocScalar(QPoly(-1))}
     assert u_closed_formula(2) == u2
+
+
+def test_level_zero_maps_reject_a_twisted_base():
+    # level 0 over A at twist q^2 is not the algebra these maps start from
+    e = DPElem.basis(DPContext(2, 0, qexp=2), 1)
+    for fn in (u_apply, phi_level_zero):
+        with pytest.raises(ValueError, match="expects level 0 over A"):
+            fn(e)
 
 
 def test_u_kills_divided_frobenius_p2():

@@ -244,7 +244,13 @@ class SparseModule:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        return power(self, n, self._new({self._unit_key: 1}))
+        # repeated multiplication: squaring measured slower on DPElem powers
+        if n < 0:
+            raise ValueError("negative power")
+        out = self._new({self._unit_key: 1})
+        for _ in range(n):
+            out = out * self
+        return out
 
     def map_coeffs(self, fn):
         return self._new({k: fn(c) for k, c in self.terms.items()})

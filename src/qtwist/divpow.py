@@ -26,8 +26,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 
-from .qarith import (LocScalar, ONE, QPoly, q_binomial, q_binomial_pow,
-                     q_factorial, q_int_pow)
+from .qarith import (LocScalar, ONE, QPoly, is_decimal, q_binomial,
+                     q_binomial_pow, q_factorial, q_int_pow)
 from .coordring import (CoordPoly, DenseModule, SIDE_A, SIDE_APRIME,
                         SideMismatchError, SparseModule, accumulate, pullback_map)
 
@@ -59,6 +59,8 @@ class DPContext:
     cap: int = DEFAULT_DEGREE_CAP
 
     def __post_init__(self):
+        if not all(type(v) is int for v in (self.p, self.m, self.qexp, self.cap)):
+            raise ValueError(f"p, m, qexp and cap must be integers: {self}")
         if self.p not in PRIMES:
             raise ValueError("desk-scale contexts support p in {2, 3, 5, 7}")
         if self.m not in LEVELS:
@@ -117,18 +119,6 @@ class XiPoly(DenseModule):
         if c.side != self.side:
             raise SideMismatchError("mixed sides in XiPoly")
         return c
-
-    def subst(self, value, embed):
-        """Evaluate at xi = value, embedding coefficients with ``embed``.
-
-        Horner scheme; returns None for the zero polynomial (the caller
-        supplies its own zero since the target ring is not known here).
-        """
-        acc = None
-        for c in reversed(self.coeffs):
-            e = embed(c)
-            acc = e if acc is None else value * acc + e
-        return acc
 
     def __repr__(self):
         parts = [f"({c})*xi^{d}" for d, c in enumerate(self.coeffs) if not c.is_zero()]
@@ -274,14 +264,6 @@ class DPElem(SparseModule):
     def basis(cls, ctx, n, coeff=1):
         return cls(ctx, {n: CoordPoly(coeff, ctx.side)})
 
-    def __pow__(self, n):
-        # repeated multiplication: keeps intermediate support minimal,
-        # and the single multiplication kernel is the audited one
-        out = DPElem.one(self.ctx)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def truncate(self, cap):
         """Drop basis indices above cap (reduction mod the filtration)."""
         return DPElem(self.ctx, {n: c for n, c in self.terms.items() if n <= cap})
@@ -300,8 +282,10 @@ class DPElem(SparseModule):
     @classmethod
     def from_json(cls, data):
         ctx = DPContext.from_json(data["ctx"])
-        return cls(ctx, {int(n): CoordPoly.from_json(c)
-                         for n, c in data["terms"].items()})
+        terms = data["terms"]
+        if not isinstance(terms, dict) or not all(map(is_decimal, terms)):
+            raise ValueError(f'"terms" must be an object keyed by decimal strings: {terms!r:.80}')
+        return cls(ctx, {int(n): CoordPoly.from_json(c) for n, c in terms.items()})
 
 
 def dp_mul(u, v):

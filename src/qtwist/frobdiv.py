@@ -24,6 +24,10 @@ b(n, i) is computed without any generic gcd: the factorial prefactor is
 tracked as a vector of cyclotomic exponents and cancelled against a(n, i)
 by exact trial division (cyclotomics are irreducible over Q, so whatever
 fails to divide is exactly the reduced denominator).
+
+The diagonal map u: xi -> x2 - x1 into A tensor_{A'} A sends the level 0
+twisted power prod_{i<n} (xi + (i)_q (1 - q) x) to the q-Pochhammer
+product prod_{i<n} (x2 - q^i x1), since (i)_q (1 - q) = 1 - q^i.
 """
 
 from __future__ import annotations
@@ -35,10 +39,9 @@ from .qarith import (LocScalar, ONE, QPoly, cyclotomic,
                      q_binomial, q_binomial_pow, q_factorial,
                      q_factorial_cyclotomic_exponents, q_int)
 from .coordring import (BiCoordPoly, CoordPoly, SIDE_A, SIDE_APRIME, phi_abs,
-                        rel_frobenius, tensor_diagonal_generator,
-                        tensor_embed_left)
+                        rel_frobenius, tensor_embed_left)
 from .divpow import (DEFAULT_DEGREE_CAP, DPContext, DPElem, XiPoly, Y_LEVEL,
-                     blowup, frobenius_base_change, twisted_power_expand)
+                     blowup, frobenius_base_change)
 
 
 class MembershipError(ArithmeticError):
@@ -162,6 +165,18 @@ def level_zero_ctx(p, side=SIDE_A, cap=DEFAULT_DEGREE_CAP):
     return DPContext(p, 0, Y_LEVEL, side, 1, cap)
 
 
+def _b_row_image(e, out_ctx, lift, row):
+    """sum_n lift(g_n, p) sum_{i=n..pn} row(n, i, p) x^(pn-i) e[i], e = sum_n g_n w[n]."""
+    p = out_ctx.p
+    out = DPElem(out_ctx, {})
+    for n, g in e.terms.items():
+        img = DPElem(out_ctx,
+                     {i: CoordPoly.monomial(row(n, i, p), p * n - i, out_ctx.side)
+                      for i in range(n, p * n + 1)})
+        out = out + img * lift(g, p)
+    return out
+
+
 def divided_frobenius(e):
     """Divided Frobenius: level -1 over A' to level 0 over A.
 
@@ -171,16 +186,7 @@ def divided_frobenius(e):
     ctx = e.ctx
     if ctx != level_minus_one_ctx(ctx.p, SIDE_APRIME, ctx.cap):
         raise ValueError("divided_frobenius expects level -1 over A'")
-    p = ctx.p
-    out_ctx = level_zero_ctx(p, cap=ctx.cap)
-    out = DPElem(out_ctx, {})
-    for n, g in e.terms.items():
-        fg = rel_frobenius(g, p)
-        img = DPElem(out_ctx,
-                     {i: CoordPoly.monomial(coeff_b(n, i, p), p * n - i)
-                      for i in range(n, p * n + 1)})
-        out = out + img * fg
-    return out
+    return _b_row_image(e, level_zero_ctx(ctx.p, cap=ctx.cap), rel_frobenius, coeff_b)
 
 
 def phi_dp(e):
@@ -188,17 +194,9 @@ def phi_dp(e):
     ctx = e.ctx
     if ctx != level_minus_one_ctx(ctx.p, ctx.side, ctx.cap):
         raise ValueError("phi_dp expects a level -1 context")
-    p = ctx.p
-    pq = q_int(p)
-    out = DPElem(ctx, {})
-    for n, g in e.terms.items():
-        img = DPElem(
-            ctx,
-            {i: CoordPoly.monomial(
-                coeff_b(n, i, p).subs_qpow(p) * pq ** i, p * n - i, ctx.side)
-             for i in range(n, p * n + 1)})
-        out = out + img * phi_abs(g, p)
-    return out
+    pq = q_int(ctx.p)
+    return _b_row_image(e, ctx, phi_abs,
+                        lambda n, i, p: coeff_b(n, i, p).subs_qpow(p) * pq ** i)
 
 
 def delta_dp(e):
@@ -296,7 +294,7 @@ def envelope_basis_check(r_max, p):
     coefficient table up to index p^r.  Returns a report dict; raises
     nothing, failures are flagged in the rows.
     """
-    cap = max(p ** r_max, min(p ** (r_max + 1), VALUATION_CAP), 16)
+    cap = max(p ** r_max, min(p ** (r_max + 1), VALUATION_CAP), DEFAULT_DEGREE_CAP)
     ctx = level_minus_one_ctx(p, cap=cap)
     iterates = delta_iterates(p, r_max, cap=cap)
     rows = []
@@ -332,7 +330,7 @@ def v_basis_element(n, p):
     while t:
         digits.append(t % p)
         t //= p
-    iterates = delta_iterates(p, max(len(digits) - 1, 0), cap=max(n, 16))
+    iterates = delta_iterates(p, max(len(digits) - 1, 0), cap=max(n, DEFAULT_DEGREE_CAP))
     out = DPElem.one(iterates[0].ctx)
     for r, a in enumerate(digits):
         out = out * iterates[r] ** a
@@ -344,7 +342,7 @@ def v_basis_triangular(n_max, p):
 
     Powers of the delta-iterates are shared across all n up to n_max.
     """
-    cap = max(n_max, 16)
+    cap = max(n_max, DEFAULT_DEGREE_CAP)
     r_top = 0
     while p ** (r_top + 1) <= n_max:
         r_top += 1
@@ -384,12 +382,15 @@ def v_basis_triangular(n_max, p):
 # ---------------------------------------------------------------------------
 
 def u_of_twisted_power(n, p):
-    """Image of the n-th twisted power under xi -> 1 tensor x - x tensor 1."""
-    ctx = level_zero_ctx(p, cap=max(n, 16))
-    expansion = twisted_power_expand(n, ctx)
-    gen = tensor_diagonal_generator(p)
-    img = expansion.subst(gen, lambda c: tensor_embed_left(c, p))
-    return img if img is not None else BiCoordPoly(p)
+    """Image of the n-th twisted power under xi -> 1 tensor x - x tensor 1.
+
+    The level 0 factor xi + (i)_q (1 - q) x maps to x2 - q^i x1, since
+    (i)_q (1 - q) = 1 - q^i: the image is prod_{i<n} (x2 - q^i x1).
+    """
+    out = BiCoordPoly(p, {(0, 0): 1})
+    for i in range(n):
+        out = out * BiCoordPoly(p, {(0, 1): 1, (1, 0): QPoly((0,) * i + (-1,))})
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -477,7 +478,7 @@ def u_consistency_check(p, n_cap=None):
         "ok": cleared == direct,
         "detail": "factorial times divided image vs twisted-power image",
     })
-    ctx = level_minus_one_ctx(p, SIDE_APRIME, cap=max(p * n_cap, 16))
+    ctx = level_minus_one_ctx(p, SIDE_APRIME, cap=max(p * n_cap, DEFAULT_DEGREE_CAP))
     killed = []
     for n in range(1, n_cap + 1):
         img = u_apply(divided_frobenius(DPElem.basis(ctx, n)))

@@ -223,6 +223,11 @@ def _gcd(a, b):
     return a
 
 
+def is_decimal(s):
+    """Whether s is an ASCII decimal string, optionally signed with '-'."""
+    return type(s) is str and s.isascii() and s.removeprefix("-").isdigit()
+
+
 def power(base, n, one):
     """base ** n by square-and-multiply; one is the unit of base's ring."""
     if n < 0:
@@ -396,9 +401,7 @@ class QPoly:
     @classmethod
     def from_json(cls, data):
         if not isinstance(data, list) or not all(
-                type(c) is int
-                or type(c) is str and c.isascii() and c.removeprefix("-").isdigit()
-                for c in data):
+                type(c) is int or is_decimal(c) for c in data):
             raise ValueError(f"a q-polynomial is an array of decimal strings, got {data!r}")
         return cls([int(c) for c in data])
 

@@ -34,7 +34,7 @@ from . import divpow as dp
 from . import frobdiv as fd
 from . import qarith as qa
 from .coordring import CoordPoly, SIDE_A, SIDE_APRIME
-from .divpow import DPContext, DPElem, Y_LEVEL, Y_STANDARD
+from .divpow import DEFAULT_DEGREE_CAP, DPContext, DPElem, Y_LEVEL, Y_STANDARD
 from .qarith import LocScalar, QPoly, q_int
 
 
@@ -365,7 +365,7 @@ def check_b_integrality(cfg, rng):
 @check("frobdiv.divided-frobenius-multiplicative", "[F](uv) = [F](u) [F](v)")
 def check_divf_multiplicative(cfg, rng):
     cap = cfg.pair_cap
-    ctx = fd.level_minus_one_ctx(cfg.p, SIDE_APRIME, cap=max(cfg.p * cap, 16))
+    ctx = fd.level_minus_one_ctx(cfg.p, SIDE_APRIME, cap=max(cfg.p * cap, DEFAULT_DEGREE_CAP))
     for n1 in range(cap + 1):
         for n2 in range(cap + 1 - n1):
             a, b = DPElem.basis(ctx, n1), DPElem.basis(ctx, n2)
@@ -405,7 +405,7 @@ def check_frobenius_lift_example(cfg, rng):
 @check("frobdiv.phi-multiplicative", "the level -1 Frobenius lift is a ring map")
 def check_phi_dp_multiplicative(cfg, rng):
     cap = cfg.pair_cap
-    ctx = fd.level_minus_one_ctx(cfg.p, cap=max(cfg.p * cap, 16))
+    ctx = fd.level_minus_one_ctx(cfg.p, cap=max(cfg.p * cap, DEFAULT_DEGREE_CAP))
     for n1 in range(cap + 1):
         for n2 in range(cap + 1 - n1):
             a, b = DPElem.basis(ctx, n1), DPElem.basis(ctx, n2)
@@ -416,7 +416,7 @@ def check_phi_dp_multiplicative(cfg, rng):
 
 @check("frobdiv.phi-frobenius-congruence", "phi(e) - e^p is exactly divisible by p")
 def check_phi_dp_congruence(cfg, rng):
-    ctx = fd.level_minus_one_ctx(cfg.p, cap=max(4 * cfg.p, 16))
+    ctx = fd.level_minus_one_ctx(cfg.p, cap=max(4 * cfg.p, DEFAULT_DEGREE_CAP))
     for n in range(1, 5):
         yield (f"phi(e) - e^p not divisible by p at n={n}",
                _not_divisible(fd.delta_dp, DPElem.basis(ctx, n)), False)
@@ -427,7 +427,7 @@ def check_phi_dp_congruence(cfg, rng):
        "phi on level 0 factors through base change, blow-up and [F]")
 def check_phi_level_zero_formula(cfg, rng):
     p = cfg.p
-    ctx0 = fd.level_zero_ctx(p, cap=max(6 * p, 16))
+    ctx0 = fd.level_zero_ctx(p, cap=max(6 * p, DEFAULT_DEGREE_CAP))
     pq = q_int(p)
     for n in range(7):
         yield (f"composite lift disagrees with (p)_q^n b-row at n={n}",
@@ -446,7 +446,7 @@ def check_phi_level_zero_formula(cfg, rng):
        "the blow-up intertwines the polynomial and divided-power lifts")
 def check_delta_xi_blowup(cfg, rng):
     p = cfg.p
-    cap = max(4 * p, 16)
+    cap = max(4 * p, DEFAULT_DEGREE_CAP)
     std = DPContext(p, 0, Y_STANDARD, SIDE_A, p, cap=cap)      # twist q^p
     lvl = fd.level_minus_one_ctx(p, cap=cap)
 

@@ -13,6 +13,8 @@ from qtwist.divpow import DPElem
 from qtwist.frobdiv import level_minus_one_ctx
 from qtwist.verify import VerifyConfig
 
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -313,6 +315,38 @@ def test_taylor_rejects_non_integer_coefficients(tmp_path, capsys, num):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "decimal strings" in err
+
+
+def _retype_context(doc, field, value):
+    doc["ctx"][field] = value
+
+
+def _rekey_term(doc, key):
+    doc["terms"][key] = doc["terms"].pop("1")
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: _retype_context(d, "p", 3.0),
+    lambda d: _retype_context(d, "m", 1.0),
+    lambda d: _retype_context(d, "qexp", 1.0),
+    lambda d: _retype_context(d, "cap", 16.5),
+    lambda d: d.update(terms=[]),
+    lambda d: _rekey_term(d, "0_1"),
+    lambda d: _rekey_term(d, " 1"),
+    lambda d: _rekey_term(d, "+1"),
+    lambda d: _rekey_term(d, "\uff11"),
+], ids=["float-p", "float-m", "float-qexp", "float-cap", "terms-array",
+        "key-underscore", "key-space", "key-plus", "key-fullwidth-digit"])
+def test_frobenius_rejects_malformed_document(tmp_path, capsys, edit):
+    with open(os.path.join(DATA, "level-minus-one-p3.json")) as f:
+        doc_json = json.load(f)
+    edit(doc_json)
+    doc = tmp_path / "malformed.json"
+    doc.write_text(json.dumps(doc_json))
+    code, out, err = run(capsys, "frobenius", str(doc), "--p", "3", "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: not a divided-power document: ")
 
 
 def test_out_to_unwritable_path_exits_two(tmp_path, capsys):

@@ -2,8 +2,10 @@ import pytest
 
 from qtwist.qarith import (LocScalar, ONE, QPoly, Q, is_unit,
                            q_factorial, q_int)
-from qtwist.coordring import CoordPoly, SIDE_A, SIDE_APRIME
-from qtwist.divpow import DPContext, DPElem, XiPoly, to_twisted_basis
+from qtwist.coordring import (BiCoordPoly, CoordPoly, SIDE_A, SIDE_APRIME,
+                              tensor_diagonal_generator, tensor_embed_left)
+from qtwist.divpow import (DPContext, DPElem, XiPoly, to_twisted_basis,
+                           twisted_power_expand)
 from qtwist.frobdiv import (FrobCoeffTable, coeff_a, coeff_b, delta_dp,
                             divided_frobenius, envelope_basis_check,
                             leading_coeff_product, level_minus_one_ctx,
@@ -244,6 +246,19 @@ def test_u_kills_divided_frobenius_p2():
     ctx = level_minus_one_ctx(2, SIDE_APRIME)
     img = u_apply(divided_frobenius(DPElem.basis(ctx, 1)))
     assert img.is_zero()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_u_of_twisted_power_matches_xi_expansion(p):
+    # reference: expand the level 0 twisted power in xi over A, then evaluate
+    # at xi = x2 - x1 by Horner's rule with each coefficient f(x) sent to f(x1)
+    gen = tensor_diagonal_generator(p)
+    for n in range(2 * p + 2):
+        expansion = twisted_power_expand(n, level_zero_ctx(p))
+        ref = BiCoordPoly(p)
+        for c in reversed(expansion.coeffs):
+            ref = ref * gen + tensor_embed_left(c, p)
+        assert u_of_twisted_power(n, p) == ref
 
 
 @pytest.mark.parametrize("p", [2, 3])

@@ -68,6 +68,12 @@ def test_zeroth_power_is_one(case):
     assert (e ** 0) * e == e
 
 
+def test_negative_power_raises(case):
+    e, _ = case
+    with pytest.raises(ValueError):
+        e ** -1
+
+
 def test_mixing_sides_or_contexts_raises(case):
     e, other = case
     with pytest.raises(ValueError):

@@ -73,9 +73,17 @@ def _emit(args, text):
 
 
 def _read_json_file(path):
+    def unique_keys(pairs):
+        obj = {}
+        for k, v in pairs:
+            if k in obj:
+                raise UsageError(f"repeated key {k!r} in an object of {path}")
+            obj[k] = v
+        return obj
+
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique_keys)
     except OSError as e:
         raise UsageError(f"cannot read {path}: {e}")
     except json.JSONDecodeError as e:

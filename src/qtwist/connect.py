@@ -186,17 +186,6 @@ class ConnModule:
         return (f"ConnModule(p={self.p}, m={self.m}, side={self.side!r}, "
                 f"rank={self.rank})")
 
-    def to_json(self):
-        return {"ctx": {"p": self.p, "m": self.m}, "side": self.side,
-                "rank": self.rank,
-                "theta": [[e.to_json() for e in row] for row in self.theta]}
-
-    @classmethod
-    def from_json(cls, data):
-        side = data["side"]
-        theta = [[CoordPoly.from_json(e) for e in row] for row in data["theta"]]
-        return cls(data["ctx"]["p"], data["ctx"]["m"], side, theta)
-
 
 def theta_apply(module, vec):
     """theta of a coefficient vector, by the level -m twisted Leibniz rule."""

@@ -142,20 +142,22 @@ def twisted_power_expand(n, ctx):
 
 
 def to_twisted_basis(f, ctx):
-    """Coefficients of f in the twisted-power basis, by back-substitution.
+    """Coefficients {n: c_n} of f in the twisted-power basis, from its Newton form.
 
-    The twisted powers are monic of strictly increasing degree, so the
-    change of basis is triangular.
+    The n-th twisted power is prod_{i<n} (xi + a_i) with a_i = (i)_Q y, so
+    f = c_0 + (xi + a_0)(c_1 + (xi + a_1)(c_2 + ...)): c_i is the remainder
+    of synthetic division by xi + a_i, and the quotient is divided next.
     """
-    rem = f
+    y = ctx.y_coordpoly()
+    rest = list(f.coeffs)
     out = {}
-    for d in range(f.degree, -1, -1):
-        c = rem.coeff(d)
-        if c.is_zero():
-            continue
-        out[d] = c
-        rem = rem - XiPoly((c,), ctx.side) * twisted_power_expand(d, ctx)
-    assert rem.is_zero()
+    for i in range(len(rest)):
+        a = y * q_int_pow(i, ctx.twist)
+        for k in range(len(rest) - 1, 0, -1):
+            rest[k - 1] = rest[k - 1] - a * rest[k]
+        c = rest.pop(0)
+        if not c.is_zero():
+            out[i] = c
     return out
 
 
@@ -283,8 +285,10 @@ class DPElem(SparseModule):
     def from_json(cls, data):
         ctx = DPContext.from_json(data["ctx"])
         terms = data["terms"]
-        if not isinstance(terms, dict) or not all(map(is_decimal, terms)):
-            raise ValueError(f'"terms" must be an object keyed by decimal strings: {terms!r:.80}')
+        if not isinstance(terms, dict) or not all(
+                is_decimal(n) and n == str(int(n)) for n in terms):
+            raise ValueError(
+                f'"terms" must be an object keyed by canonical decimal strings: {terms!r:.80}')
         return cls(ctx, {int(n): CoordPoly.from_json(c) for n, c in terms.items()})
 
 

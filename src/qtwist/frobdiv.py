@@ -20,10 +20,11 @@ and the quotient (phi(e) - e^p)/p is an exact operation.  The top
 coefficient b(n, pn) equals the double product of (kp - j)_q over
 1 <= k <= n, 1 <= j <= p-1, a unit.
 
-b(n, i) is computed without any generic gcd: the factorial prefactor is
-tracked as a vector of cyclotomic exponents and cancelled against a(n, i)
-by exact trial division (cyclotomics are irreducible over Q, so whatever
-fails to divide is exactly the reduced denominator).
+b(n, i) is computed without any generic gcd: the q-factorial quotient is
+a Counter of cyclotomic exponents, whose positive part multiplies a(n, i)
+and whose negative part is cancelled against it by exact trial division
+(cyclotomics are irreducible over Q, so whatever fails to divide is
+exactly the reduced denominator).
 
 The diagonal map u: xi -> x2 - x1 into A tensor_{A'} A sends the level 0
 twisted power prod_{i<n} (xi + (i)_q (1 - q) x) to the q-Pochhammer
@@ -32,7 +33,9 @@ product prod_{i<n} (x2 - q^i x1), since (i)_q (1 - q) = 1 - q^i.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
+from math import prod
 
 from .qarith import (LocScalar, ONE, QPoly, cyclotomic,
                      divide_by_cyclotomic_product, divide_exact, is_unit,
@@ -68,32 +71,16 @@ def coeff_a(n, i, p):
 
 
 @lru_cache(maxsize=None)
-def _factorial_prefactor_exponents(n, p):
-    """Cyclotomic exponents of (n)_{q^p}! (p)_q^n (p prime)."""
-    out = dict(q_factorial_cyclotomic_exponents(n, p))
-    out[p] = out.get(p, 0) + n
-    return out
-
-
-@lru_cache(maxsize=None)
 def coeff_b(n, i, p):
     """The scalar b(n, i) as a LocScalar; raises MembershipError if it
     fails to lie in the localization at (p, q-1)."""
     if not (n <= i <= p * n):
         raise ValueError(f"coeff_b out of range: n={n}, i={i}, p={p}")
-    num_exp = q_factorial_cyclotomic_exponents(i)
-    den_exp = _factorial_prefactor_exponents(n, p)
-    net = dict(num_exp)
-    for d, e in den_exp.items():
-        net[d] = net.get(d, 0) - e
-    num = coeff_a(n, i, p)
-    to_divide = {}
-    for d, e in net.items():
-        if e > 0:
-            num = num * cyclotomic(d) ** e
-        elif e < 0:
-            to_divide[d] = -e
-    b = divide_by_cyclotomic_product(LocScalar(num), to_divide)
+    top = q_factorial_cyclotomic_exponents(i)
+    bottom = q_factorial_cyclotomic_exponents(n, p) + Counter({p: n})
+    num = coeff_a(n, i, p) * prod(
+        (cyclotomic(d) ** e for d, e in (top - bottom).items()), start=ONE)
+    b = divide_by_cyclotomic_product(LocScalar(num), bottom - top)
     if not b.in_localization(p):
         raise MembershipError(
             f"b({n},{i}) has non-unit denominator {b.den} at p={p}")
@@ -323,51 +310,41 @@ def envelope_basis_check(r_max, p):
     return {"p": p, "r_max": r_max, "ok": ok, "rows": rows}
 
 
-def v_basis_element(n, p):
-    """v_n: product of (delta^r(w))^(digit r of n in base p)."""
-    digits = []
-    t = n
-    while t:
-        digits.append(t % p)
-        t //= p
-    iterates = delta_iterates(p, max(len(digits) - 1, 0), cap=max(n, DEFAULT_DEGREE_CAP))
-    out = DPElem.one(iterates[0].ctx)
-    for r, a in enumerate(digits):
-        out = out * iterates[r] ** a
-    return out
+def v_basis(n_max, p):
+    """Yield v_0, ..., v_n_max on level -1 over A.
 
-
-def v_basis_triangular(n_max, p):
-    """Check the v-basis change is triangular with unit diagonal.
-
-    Powers of the delta-iterates are shared across all n up to n_max.
+    v_n = prod_r (delta^r(w))^(n_r) over the base-p digits n_r of n; the
+    powers of the delta-iterates are shared across all n.
     """
-    cap = max(n_max, DEFAULT_DEGREE_CAP)
     r_top = 0
     while p ** (r_top + 1) <= n_max:
         r_top += 1
-    iterates = delta_iterates(p, r_top, cap)
-    powers = [[DPElem.one(it.ctx), it] for it in iterates]
-
-    def power(r, a):
-        row = powers[r]
-        while len(row) <= a:
-            row.append(row[-1] * row[1])
-        return row[a]
-
-    failures = []
+    iterates = delta_iterates(p, r_top, max(n_max, DEFAULT_DEGREE_CAP))
+    one = DPElem.one(iterates[0].ctx)
+    powers = [[one, it] for it in iterates]
     for n in range(n_max + 1):
-        v = None
-        t, r = n, 0
+        v, t, r = None, n, 0
         while t:
-            a = t % p
+            t, a = divmod(t, p)
             if a:
-                w = power(r, a)
-                v = w if v is None else v * w
-            t //= p
+                row = powers[r]
+                while len(row) <= a:
+                    row.append(row[-1] * row[1])
+                v = row[a] if v is None else v * row[a]
             r += 1
-        if v is None:
-            v = DPElem.one(iterates[0].ctx)
+        yield one if v is None else v
+
+
+def v_basis_element(n, p):
+    """v_n, the last value of v_basis(n, p)."""
+    *_, v = v_basis(n, p)
+    return v
+
+
+def v_basis_triangular(n_max, p):
+    """Check the v-basis change is triangular with unit diagonal up to n_max."""
+    failures = []
+    for n, v in enumerate(v_basis(n_max, p)):
         if any(k > n for k in v.support()):
             failures.append((n, "support"))
             continue
@@ -426,14 +403,12 @@ def u_closed_formula(p):
         terms[(2, 0)] = LocScalar(ONE)
     else:
         num = QPoly([1, -1]) * q_int(p * (p - 1) // 2)   # (1-q)(p(p-1)/2)_q
-        facs = dict(q_factorial_cyclotomic_exponents(p))
-        terms[(p, 0)] = divide_by_cyclotomic_product(LocScalar(num), facs)
+        terms[(p, 0)] = divide_by_cyclotomic_product(
+            LocScalar(num), q_factorial_cyclotomic_exponents(p))
     for i in range(1, p):
         sign = -1 if i % 2 else 1
         num = QPoly((0,) * (i * (i - 1) // 2) + (sign,))
-        facs = dict(q_factorial_cyclotomic_exponents(i))
-        for d, e in q_factorial_cyclotomic_exponents(p - i).items():
-            facs[d] = facs.get(d, 0) + e
+        facs = q_factorial_cyclotomic_exponents(i) + q_factorial_cyclotomic_exponents(p - i)
         terms[(i, p - i)] = divide_by_cyclotomic_product(LocScalar(num), facs)
     return BiCoordPoly(p, terms)
 

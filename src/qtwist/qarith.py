@@ -34,6 +34,7 @@ and cyclotomic polynomials used for exact division decisions.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -477,21 +478,13 @@ def cyclotomic(d):
 
 
 def q_factorial_cyclotomic_exponents(n, j=1):
-    """Exponent of each cyclotomic factor in q_factorial(n) stretched by j.
+    """Exponent of each cyclotomic factor of (n)_{q^j}!, as a Counter {d: e}.
 
-    q_int(m) = prod_{d | m, d > 1} cyclotomic(d), so the factorial collects
-    floor(n/d) copies of cyclotomic(d); stretching by j turns the factor
-    cyclotomic(d) of q_int(m) into prod of cyclotomic(e) over the e with
-    lcm-type condition e | d*j, e not | j applied to q^(d*j)-1 / q^j-1.
-    Returned as a dict {d: exponent} with the stretch already resolved.
+    (m)_{q^j} = (q^(mj) - 1)/(q^j - 1) = prod cyclotomic(e) over the e | mj
+    with e not dividing j, and (n)_{q^j}! is the product of these over
+    m = 2..n, so q-factorial quotients are Counter sums and differences.
     """
-    out = {}
-    for m in range(2, n + 1):
-        # q_int(m) at q^j = (q^(mj)-1)/(q^j-1): cyclotomic(e) for e | mj, e not | j
-        for e in _divisors(m * j):
-            if j % e:
-                out[e] = out.get(e, 0) + 1
-    return out
+    return Counter(e for m in range(2, n + 1) for e in _divisors(m * j) if j % e)
 
 
 @lru_cache(maxsize=None)

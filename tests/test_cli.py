@@ -335,8 +335,12 @@ def _rekey_term(doc, key):
     lambda d: _rekey_term(d, " 1"),
     lambda d: _rekey_term(d, "+1"),
     lambda d: _rekey_term(d, "\uff11"),
+    lambda d: d["terms"].update({"03": d["terms"]["1"]}),
+    lambda d: d["terms"].update({"03": d["terms"].pop("3")}),
+    lambda d: d["terms"].update({"-0": d["terms"].pop("0")}),
 ], ids=["float-p", "float-m", "float-qexp", "float-cap", "terms-array",
-        "key-underscore", "key-space", "key-plus", "key-fullwidth-digit"])
+        "key-underscore", "key-space", "key-plus", "key-fullwidth-digit",
+        "key-leading-zero-beside-canonical", "key-leading-zero", "key-minus-zero"])
 def test_frobenius_rejects_malformed_document(tmp_path, capsys, edit):
     with open(os.path.join(DATA, "level-minus-one-p3.json")) as f:
         doc_json = json.load(f)
@@ -347,6 +351,22 @@ def test_frobenius_rejects_malformed_document(tmp_path, capsys, edit):
     assert code == 2
     assert out == ""
     assert err.startswith("error: not a divided-power document: ")
+
+
+def test_frobenius_rejects_repeated_key(tmp_path, capsys):
+    # json.load keeps the last of two equal keys; the document must not name an index twice
+    with open(os.path.join(DATA, "level-minus-one-p3.json")) as f:
+        doc_json = json.load(f)
+    terms = doc_json.pop("terms")
+    pairs = [*terms.items(), ("3", terms["1"])]
+    text = json.dumps(doc_json)[:-1] + ', "terms": {' + ", ".join(
+        f"{json.dumps(k)}: {json.dumps(v)}" for k, v in pairs) + "}}"
+    doc = tmp_path / "repeated.json"
+    doc.write_text(text)
+    code, out, err = run(capsys, "frobenius", str(doc), "--p", "3", "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: repeated key '3' in an object of ")
 
 
 def test_out_to_unwritable_path_exits_two(tmp_path, capsys):

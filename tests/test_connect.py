@@ -198,10 +198,3 @@ def test_h0_resource_cap():
     mod = ConnModule.trivial(2, 1, SIDE_A, 3)
     with pytest.raises(ResourceCapError):
         h0_truncated(mod, TruncationSpec(3, 4), cap=1000)
-
-
-def test_connmodule_serialization():
-    mod = ConnModule(2, 1, SIDE_APRIME, [[xp, CoordPoly(1, SIDE_APRIME)],
-                                         [CoordPoly((), SIDE_APRIME), xp ** 2]])
-    back = ConnModule.from_json(mod.to_json())
-    assert back == mod

@@ -137,6 +137,19 @@ def test_frobenius_base_change():
     assert frobenius_base_change(a * b) == frobenius_base_change(a) * frobenius_base_change(b)
 
 
+def _twisted_coeffs_by_back_substitution(f, ctx):
+    # reference: the twisted powers are monic of increasing degree, so the
+    # top coefficient of what is left names the next basis coefficient
+    rem, out = f, {}
+    for d in range(f.degree, -1, -1):
+        c = rem.coeff(d)
+        if not c.is_zero():
+            out[d] = c
+            rem = rem - XiPoly((c,), ctx.side) * twisted_power_expand(d, ctx)
+    assert rem.is_zero()
+    return out
+
+
 def test_to_twisted_basis_roundtrip():
     ctx = ctx_level(2, 1, qexp=1)
     f = XiPoly.gen() ** 3 + XiPoly((x ** 2,)) * XiPoly.gen() + XiPoly((CoordPoly(5),))
@@ -145,6 +158,13 @@ def test_to_twisted_basis_roundtrip():
     for idx, c in coeffs.items():
         back = back + XiPoly((c,), SIDE_A) * twisted_power_expand(idx, ctx)
     assert back == f
+    # the contexts of the blow-up check, up to degree 4p
+    for p in (2, 3, 5):
+        f = XiPoly([CoordPoly([k % 3 - 1, 0, (-1) ** k * k]) for k in range(4 * p + 1)])
+        for y_mode in (Y_LEVEL, Y_STANDARD):
+            for qexp in (1, p):
+                ctx = DPContext(p, 0, y_mode, SIDE_A, qexp, cap=4 * p)
+                assert to_twisted_basis(f, ctx) == _twisted_coeffs_by_back_substitution(f, ctx)
 
 
 def test_degree_cap_enforced():

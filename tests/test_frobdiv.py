@@ -6,7 +6,7 @@ from qtwist.coordring import (BiCoordPoly, CoordPoly, SIDE_A, SIDE_APRIME,
                               tensor_diagonal_generator, tensor_embed_left)
 from qtwist.divpow import (DPContext, DPElem, XiPoly, to_twisted_basis,
                            twisted_power_expand)
-from qtwist.frobdiv import (FrobCoeffTable, coeff_a, coeff_b, delta_dp,
+from qtwist.frobdiv import (FrobCoeffTable, coeff_a, coeff_b, delta_dp, delta_iterates,
                             divided_frobenius, envelope_basis_check,
                             leading_coeff_product, level_minus_one_ctx,
                             level_zero_ctx, phi_dp, phi_level_zero,
@@ -222,6 +222,18 @@ def test_v_basis_element_values():
     v3 = v_basis_element(3, 2)       # w * delta(w)
     assert max(v3.support()) == 3
     assert is_unit(v3.coeff(3).coeff(0), 2)
+    # reference: the product of iterate powers over the base-p digits of n
+    for p in (2, 3):
+        for n in range(p * p + 1):
+            digits, t = [], n
+            while t:
+                digits.append(t % p)
+                t //= p
+            iterates = delta_iterates(p, max(len(digits) - 1, 0), cap=max(n, 16))
+            ref = DPElem.one(iterates[0].ctx)
+            for r, a in enumerate(digits):
+                ref = ref * iterates[r] ** a
+            assert v_basis_element(n, p) == ref, (n, p)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -90,17 +91,15 @@ def test_cyclotomic_basics():
 
 
 def test_factorial_cyclotomic_exponents():
-    exps = q_factorial_cyclotomic_exponents(6)
-    prod = ONE
-    for d, e in exps.items():
-        prod = prod * cyclotomic(d) ** e
-    assert prod == q_factorial(6)
-
-    exps_p = q_factorial_cyclotomic_exponents(3, 2)   # (3)_{q^2}!
-    prod = ONE
-    for d, e in exps_p.items():
-        prod = prod * cyclotomic(d) ** e
-    assert prod == q_factorial(3).stretch(2)
+    # (n)_{q^j}! = prod cyclotomic(d)^e over the returned exponents
+    for n in range(11):
+        for j in (1, 2, 3, 5, 7):
+            exps = q_factorial_cyclotomic_exponents(n, j)
+            assert isinstance(exps, Counter)
+            prod = ONE
+            for d, e in exps.items():
+                prod = prod * cyclotomic(d) ** e
+            assert prod == q_factorial(n).stretch(j), (n, j)
 
 
 def test_divide_by_cyclotomic_product():

@@ -1,5 +1,11 @@
 """Command-line driver: coefficient tables, verification suites, expansions.
 
+Every request takes one path: ``main`` parses argv with the one parser of
+the process (built on first use), validates the shared bounds once, runs
+one ``cmd_*`` (its own checks and computation) and writes one report with
+``_report``, which builds only the requested format.  ``main(argv)``
+returns the exit code and may be called repeatedly in one process.
+
 Exit codes are a stable contract for CI: 0 when every requested check
 passes, 1 when any check fails, 2 on usage or parse errors, 3 on an
 internal error (a fault in qtwist, not in the input).  Reports are
@@ -14,6 +20,7 @@ import csv
 import io
 import json
 import sys
+from functools import lru_cache
 
 from .coordring import CoordPoly, SIDE_A, SIDE_APRIME
 from .divpow import DPElem, LEVELS, PRIMES
@@ -43,6 +50,7 @@ def _add_common(sp, m=False, n_max=False, with_csv=False):
 
 
 def _validate(args):
+    """Check the values the subcommands share; main calls it once per request."""
     if args.p not in PRIMES:
         raise UsageError(f"--p must be one of {PRIMES}, got {args.p}")
     if getattr(args, "m", 0) not in LEVELS:
@@ -72,7 +80,25 @@ def _emit(args, text):
         sys.stdout.write(text)
 
 
-def _read_json_file(path):
+def _report(args, payload, lines, rows=None):
+    """Write one report in args.format.
+
+    payload, lines and rows are thunks for the JSON document, the text
+    lines and the CSV rows (header first); only the requested one runs.
+    """
+    if args.format == "json":
+        text = json.dumps(payload(), indent=2) + "\n"
+    elif args.format == "csv":
+        buf = io.StringIO()
+        csv.writer(buf).writerows(rows())
+        text = buf.getvalue()
+    else:
+        text = "\n".join(lines()) + "\n"
+    _emit(args, text)
+
+
+def _read_document(path, cls, what):
+    """Read a JSON document of cls; unreadable, malformed or repeated-key input exits 2."""
     def unique_keys(pairs):
         obj = {}
         for k, v in pairs:
@@ -83,105 +109,71 @@ def _read_json_file(path):
 
     try:
         with open(path) as fh:
-            return json.load(fh, object_pairs_hook=unique_keys)
-    except OSError as e:
+            data = json.load(fh, object_pairs_hook=unique_keys)
+    except (OSError, UnicodeDecodeError) as e:
         raise UsageError(f"cannot read {path}: {e}")
     except json.JSONDecodeError as e:
         raise UsageError(
             f"parse error in {path} at line {e.lineno}, column {e.colno}: {e.msg}")
+    try:
+        return cls.from_json(data)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
+        raise UsageError(f"not a {what} document: {e}")
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each runs its own checks and computation, then one _report
 # ---------------------------------------------------------------------------
 
 def cmd_coeffs(args):
-    _validate(args)
-    rows = list(FrobCoeffTable(args.p, args.n_max).rows())
-    if args.format == "json":
-        payload = {"p": args.p, "n_max": args.n_max, "rows": [
-            {"n": r["n"], "i": r["i"], "a": r["a"].to_json(),
-             "b": r["b"].to_json(), "a_str": str(r["a"]), "b_str": str(r["b"]),
-             "unit_at_top": r["unit_at_top"]} for r in rows]}
-        _emit(args, json.dumps(payload, indent=2) + "\n")
-    elif args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["p", "n", "i", "a", "b", "unit_at_top"])
-        for r in rows:
-            w.writerow([args.p, r["n"], r["i"], str(r["a"]), str(r["b"]),
-                        "" if r["unit_at_top"] is None else r["unit_at_top"]])
-        _emit(args, buf.getvalue())
-    else:
-        lines = [f"coefficients for p = {args.p}, n <= {args.n_max}"]
-        for r in rows:
-            flag = "" if r["unit_at_top"] is None else f"  unit={r['unit_at_top']}"
-            lines.append(f"n={r['n']:2d} i={r['i']:3d}  a = {r['a']}  |  b = {r['b']}{flag}")
-        _emit(args, "\n".join(lines) + "\n")
+    p, n_max = args.p, args.n_max
+    rows = list(FrobCoeffTable(p, n_max).rows())
+    _report(args,
+            lambda: {"p": p, "n_max": n_max, "rows": [
+                {"n": r["n"], "i": r["i"], "a": r["a"].to_json(), "b": r["b"].to_json(),
+                 "a_str": str(r["a"]), "b_str": str(r["b"]),
+                 "unit_at_top": r["unit_at_top"]} for r in rows]},
+            lambda: [f"coefficients for p = {p}, n <= {n_max}"] + [
+                f"n={r['n']:2d} i={r['i']:3d}  a = {r['a']}  |  b = {r['b']}"
+                + ("" if r["unit_at_top"] is None else f"  unit={r['unit_at_top']}")
+                for r in rows],
+            lambda: [["p", "n", "i", "a", "b", "unit_at_top"]] + [
+                [p, r["n"], r["i"], str(r["a"]), str(r["b"]),
+                 "" if r["unit_at_top"] is None else r["unit_at_top"]] for r in rows])
     return 0
 
 
 def cmd_verify(args):
-    _validate(args)
-    cfg = VerifyConfig(p=args.p, m=args.m, n_max=args.n_max,
-                       trunc_N=args.trunc_N, deg_d=args.deg_d, seed=args.seed)
-    checks = run_suite(args.suite, cfg)
-    counts = {s: sum(c["status"] == s for c in checks) for s in ("pass", "skip", "fail")}
-    report = {
-        "config": {"suite": args.suite, "p": args.p, "m": args.m,
-                   "n_max": args.n_max, "trunc_N": args.trunc_N,
-                   "deg_d": args.deg_d, "seed": args.seed},
-        "checks": checks,
-        "passed": counts["pass"],
-        "skipped": counts["skip"],
-        "failed": counts["fail"],
-    }
-    if args.format == "json":
-        _emit(args, json.dumps(report, indent=2) + "\n")
-    elif args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["id", "ref", "status", "detail"])
-        for c in checks:
-            w.writerow([c["id"], c["ref"], c["status"], c["detail"]])
-        _emit(args, buf.getvalue())
-    else:
-        lines = []
-        for c in checks:
-            lines.append(f"[{c['status']:4}] {c['id']}")
-            lines.append(f"        {c['detail']}")
-        lines.append(f"{report['passed']} passed, {report['skipped']} skipped, "
-                     f"{report['failed']} failed")
-        _emit(args, "\n".join(lines) + "\n")
+    config = {name: getattr(args, name)
+              for name in ("p", "m", "n_max", "trunc_N", "deg_d", "seed")}
+    checks = run_suite(args.suite, VerifyConfig(**config))
+    report = {"config": {"suite": args.suite, **config}, "checks": checks,
+              **{key: sum(c["status"] == status for c in checks) for key, status in
+                 (("passed", "pass"), ("skipped", "skip"), ("failed", "fail"))}}
+    _report(args,
+            lambda: report,
+            lambda: [line for c in checks
+                     for line in (f"[{c['status']:4}] {c['id']}", f"        {c['detail']}")]
+            + [f"{report['passed']} passed, {report['skipped']} skipped, "
+               f"{report['failed']} failed"],
+            lambda: [["id", "ref", "status", "detail"]]
+            + [[c["id"], c["ref"], c["status"], c["detail"]] for c in checks])
     return 1 if report["failed"] else 0
 
 
 def cmd_taylor(args):
-    _validate(args)
-    data = _read_json_file(args.input)
-    try:
-        f = CoordPoly.from_json(data)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
-        raise UsageError(f"not a coordinate-polynomial document: {e}")
+    f = _read_document(args.input, CoordPoly, "coordinate-polynomial")
     if f.side != SIDE_A:
         raise UsageError(f'taylor expands a polynomial over A: set "side" to '
                          f'"{SIDE_A}" in the document (it is "{f.side}")')
     _check_localized(f, args.p)
     expansion = taylor(f, args.n_max, args.p, args.m)
-    if args.format == "json":
-        _emit(args, json.dumps(expansion.to_json(), indent=2) + "\n")
-    else:
-        _emit(args, repr(expansion) + "\n")
+    _report(args, expansion.to_json, lambda: [repr(expansion)])
     return 0
 
 
 def cmd_frobenius(args):
-    _validate(args)
-    data = _read_json_file(args.input)
-    try:
-        e = DPElem.from_json(data)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e_:
-        raise UsageError(f"not a divided-power document: {e_}")
+    e = _read_document(args.input, DPElem, "divided-power")
     ctx = e.ctx
     if ctx.p != args.p:
         raise UsageError(f"document prime {ctx.p} != --p {args.p}")
@@ -196,35 +188,24 @@ def cmd_frobenius(args):
             f'the document\'s cap {ctx.cap}: raise "cap" in its "ctx" to at least '
             f"{ctx.p * top}")
     img = divided_frobenius(e)
-    if args.format == "json":
-        _emit(args, json.dumps(img.to_json(), indent=2) + "\n")
-    else:
-        _emit(args, repr(img) + "\n")
+    _report(args, img.to_json, lambda: [repr(img)])
     return 0
 
 
 def cmd_envelope_check(args):
-    _validate(args)
     r_max = args.r_max if args.r_max is not None else default_r_max(args.p)
     rep = envelope_basis_check(r_max, args.p)
-    if args.format == "json":
-        _emit(args, json.dumps(rep, indent=2) + "\n")
-    else:
-        lines = [f"envelope basis congruences for p = {args.p}, r <= {r_max}"]
-        for row in rep["rows"]:
-            line = (f"r={row['r']}: congruent={row['congruent']} "
-                    f"c={row['c']} unit={row['c_unit']}")
-            if "phi_valuation" in row:
-                line += (f" valuations=({row['phi_valuation']},"
-                         f"{row['power_valuation']}) ok={row['valuations_ok']}")
-            lines.append(line)
-        lines.append("ok" if rep["ok"] else "FAILED")
-        _emit(args, "\n".join(lines) + "\n")
+    _report(args,
+            lambda: rep,
+            lambda: [f"envelope basis congruences for p = {args.p}, r <= {r_max}"] + [
+                f"r={row['r']}: congruent={row['congruent']} c={row['c']} unit={row['c_unit']}"
+                + (f" valuations=({row['phi_valuation']},{row['power_valuation']})"
+                   f" ok={row['valuations_ok']}" if "phi_valuation" in row else "")
+                for row in rep["rows"]] + ["ok" if rep["ok"] else "FAILED"])
     return 0 if rep["ok"] else 1
 
 
 def cmd_u_check(args):
-    _validate(args)
     if args.n_max == 0:
         raise UsageError("--n-max must be at least 1: index 0 checks nothing")
     try:
@@ -232,18 +213,18 @@ def cmd_u_check(args):
     except MembershipError as e:
         _emit(args, f"FAILED: {e}\n")
         return 1
-    if args.format == "json":
-        _emit(args, json.dumps(rep, indent=2) + "\n")
-    else:
-        lines = [f"diagonal-map checks for p = {args.p}"]
-        for c in rep["checks"]:
-            lines.append(f"[{'pass' if c['ok'] else 'fail'}] {c['id']}: {c['detail']}")
-        lines.append("ok" if rep["ok"] else "FAILED")
-        _emit(args, "\n".join(lines) + "\n")
+    _report(args,
+            lambda: rep,
+            lambda: [f"diagonal-map checks for p = {args.p}",
+                     *(f"[{'pass' if c['ok'] else 'fail'}] {c['id']}: {c['detail']}"
+                       for c in rep["checks"]),
+                     "ok" if rep["ok"] else "FAILED"])
     return 0 if rep["ok"] else 1
 
 
+@lru_cache(maxsize=None)
 def build_parser():
+    """The command-line parser, built once per process on first use."""
     parser = argparse.ArgumentParser(
         prog="qtwist",
         description="exact verification of twisted divided-power calculus")
@@ -290,9 +271,9 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        _validate(args)
         return args.fn(args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)

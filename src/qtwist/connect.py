@@ -28,7 +28,8 @@ import itertools
 
 from .qarith import LocScalar, QPoly, q_int
 from .coordring import (CoordPoly, SIDE_A, SIDE_APRIME, SideMismatchError,
-                        level_derivative, q_derivative, rel_frobenius, sigma_power)
+                        frobenius_decompose, level_derivative, q_derivative,
+                        rel_frobenius, sigma_power)
 
 
 class ResourceCapError(RuntimeError):
@@ -227,30 +228,18 @@ def descent_solve(module):
 
     Each matrix entry must be x^(p-1) times an element of the image of
     the relative Frobenius (x-exponents divisible by p, coefficients
-    free); no basis change is attempted.
+    free): in A = sum over i < p of F(A') x^i, its parts 0 .. p-2 vanish
+    and part p-1 is the descended entry.  No basis change is attempted.
     """
     if module.side != SIDE_A:
         raise SideMismatchError("descent_solve expects a module over A")
     p = module.p
     theta = []
     for row in module.theta:
-        new_row = []
-        for e in row:
-            coeffs = e.coeffs
-            if any(not c.is_zero() for c in coeffs[:p - 1]):
-                return None                      # not divisible by x^(p-1)
-            quo = coeffs[p - 1:]
-            entry = {}
-            for d, c in enumerate(quo):
-                if c.is_zero():
-                    continue
-                if d % p:
-                    return None                  # outside the Frobenius image
-                entry[d // p] = c
-            size = max(entry) + 1 if entry else 0
-            new_row.append(CoordPoly(
-                [entry.get(i, 0) for i in range(size)], SIDE_APRIME))
-        theta.append(new_row)
+        parts = [frobenius_decompose(e, p) for e in row]
+        if any(not g.is_zero() for part in parts for g in part[:p - 1]):
+            return None
+        theta.append([part[p - 1] for part in parts])
     return ConnModule(p, module.m + 1, SIDE_APRIME, theta)
 
 

@@ -14,6 +14,8 @@ from qtwist.frobdiv import level_minus_one_ctx
 from qtwist.verify import VerifyConfig
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+with open(os.path.join(DATA, "cli-outputs.json")) as _fh:
+    PINNED_OUTPUTS = json.load(_fh)
 
 
 def run(capsys, *argv):
@@ -88,6 +90,16 @@ def test_package_runs_as_a_module():
     assert out.returncode == 0 and out.stdout.startswith("coefficients for p = 2")
 
 
+def test_parser_is_built_once_on_first_use():
+    src = os.path.dirname(os.path.dirname(qtwist.__file__))
+    script = ("import qtwist.cli as cli; built = cli.build_parser.cache_info().currsize; "
+              "codes = [cli.main(['coeffs', '--n-max', '0']) for _ in range(3)]; "
+              "print(built, cli.build_parser.cache_info().misses, codes)")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.splitlines()[-1] == "0 1 [0, 0, 0]"
+
+
 def test_verify_exit_one_on_failure(capsys, monkeypatch):
     import qtwist.verify as verify
     broken = dict(verify.SUITES)
@@ -126,6 +138,15 @@ def test_taylor_parse_error_position(tmp_path, capsys):
     code, _, err = run(capsys, "taylor", str(doc), "--p", "2")
     assert code == 2
     assert "line" in err and "column" in err
+
+
+def test_undecodable_document_exits_two(tmp_path, capsys):
+    doc = tmp_path / "latin1.json"
+    doc.write_bytes(b'{"side": "A\xff"}')
+    for command in ("taylor", "frobenius"):
+        code, out, err = run(capsys, command, str(doc), "--p", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {doc}: ") and "decode" in err
 
 
 def test_frobenius_example(tmp_path, capsys):
@@ -376,3 +397,11 @@ def test_out_to_unwritable_path_exits_two(tmp_path, capsys):
     assert out == ""
     assert err.startswith(f"error: cannot write {target}: ")
     assert "internal error" not in err and not target.exists()
+
+
+@pytest.mark.parametrize("pinned", PINNED_OUTPUTS, ids=lambda e: " ".join(e["argv"]))
+def test_pinned_output(monkeypatch, capsys, pinned):
+    # argv paths are relative to the repository root; the parser is shared, so run twice
+    monkeypatch.chdir(os.path.dirname(os.path.dirname(DATA)))
+    for _ in range(2):
+        assert run(capsys, *pinned["argv"]) == (pinned["exit"], pinned["stdout"], pinned["stderr"])

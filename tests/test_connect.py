@@ -109,12 +109,25 @@ def test_level_raise_requires_pullback_side():
 
 
 def test_descent_examples():
-    assert descent_solve(ConnModule.trivial(2, 0, SIDE_A, 1)) == \
-        ConnModule.trivial(2, 1, SIDE_APRIME, 1)
-    m = ConnModule(2, 0, SIDE_A, [[CoordPoly.monomial(1, 1)]])   # x^(p-1)
-    assert descent_solve(m).theta[0][0] == CoordPoly(1, SIDE_APRIME)
-    bad = ConnModule(2, 0, SIDE_A, [[CoordPoly.monomial(1, 2)]])  # x^p
-    assert descent_solve(bad) is None
+    for p in (2, 3, 5):
+        def module(*rows):
+            return ConnModule(p, 0, SIDE_A, [list(row) for row in rows])
+
+        assert descent_solve(ConnModule.trivial(p, 0, SIDE_A, 1)) == \
+            ConnModule.trivial(p, 1, SIDE_APRIME, 1)
+        top = CoordPoly.monomial(1, p - 1)                             # x^(p-1)
+        assert descent_solve(module([top])).theta[0][0] == CoordPoly(1, SIDE_APRIME)
+        good = top + CoordPoly.monomial(1, 2 * p - 1)                  # x^(p-1) + x^(2p-1)
+        one_plus_xp = CoordPoly([1, 1], SIDE_APRIME)                    # 1 + x'
+        assert descent_solve(module([good])).theta[0][0] == one_plus_xp
+        for j in range(p - 1):                                         # below x^(p-1)
+            assert descent_solve(module([CoordPoly.monomial(1, j)])) is None
+        bad = top + CoordPoly.monomial(1, p)                           # x^(p-1) + x^p
+        assert descent_solve(module([bad])) is None
+        zero = CoordPoly(0)
+        assert descent_solve(module([good, zero], [zero, good])) == ConnModule(
+            p, 1, SIDE_APRIME, [[one_plus_xp, 0], [0, one_plus_xp]])
+        assert descent_solve(module([good, zero], [zero, bad])) is None
 
 
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2)])

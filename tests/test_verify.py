@@ -4,9 +4,11 @@ import os
 import pytest
 
 import qtwist.coordring as cr
+import qtwist.qarith as qa
 from qtwist import verify
 from qtwist.coordring import CoordPoly
-from qtwist.verify import VerifyConfig, check_phi_multiplicative, run_suite
+from qtwist.verify import (VerifyConfig, check_factorial_frobenius,
+                           check_phi_multiplicative, run_suite)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -25,6 +27,22 @@ def test_planted_fault_fails_at_the_first_bad_case(monkeypatch, first_bad):
     assert check_phi_multiplicative(VerifyConfig()) == (
         False, f"phi(fg) != phi(f)phi(g) at sample {first_bad}")
     assert len(calls) == 3 * (first_bad + 1)
+
+
+def test_factorial_check_catches_a_faulty_stretch(monkeypatch):
+    real = qa.QPoly.stretch
+
+    def stretch(self, k):              # drops the top coefficient from 8 coefficients on
+        out = real(self, k)
+        return out if len(self.coeffs) < 8 else qa.QPoly(out.coeffs[:-1])
+
+    monkeypatch.setattr(qa.QPoly, "stretch", stretch)
+    qa.q_factorial_pow.cache_clear()   # every power below is built under the fault, none outlives it
+    try:
+        verdict = check_factorial_frobenius(VerifyConfig())
+    finally:
+        qa.q_factorial_pow.cache_clear()
+    assert verdict == (False, "q -> q^2 fails on factorial 5")
 
 
 def test_runner_reports_raises_and_skips_and_goes_on(monkeypatch):

@@ -4,16 +4,23 @@ Polynomials in q are represented as tuples of arbitrary-precision integers
 in ascending degree: a_0 + a_1*q + ... + a_n*q^n corresponds to
 (a_0, a_1, ..., a_n) with a_n != 0, and () for the zero polynomial.
 
-Products use the schoolbook loop unless both operands have at least
-``KRONECKER_CUTOFF`` (24) terms; then they go by Kronecker substitution
-(Kronecker 1882; Harvey, J. Symb. Comput. 2009): each operand is packed
-into one integer in base 2^k, the two integers are multiplied once by
-CPython's Karatsuba, and the product's signed base-2^k digits are its
-coefficients.  k is the sum of the operands' largest coefficient bit
-lengths, plus the bit length of the shorter length, plus a sign bit,
-rounded up to whole bytes so that packing and unpacking go through
-``int.to_bytes``/``int.from_bytes``.  Below the cutoff, or when one
-operand is short, the conversions cost more than the loop.
+Products use the schoolbook loop, which skips zero coefficients, unless
+both operands have ``KRONECKER_CUTOFF`` (6) or more nonzero ones; then
+Kronecker substitution (Kronecker 1882; Harvey, J. Symb. Comput. 2009)
+packs each into one integer at q = X = 256^w, multiplies the two once
+and reads the product's coefficients off its signed base-X digits.  w is
+rounded up to 1, 2, 4 or 8 bytes where that fits, so that the digits
+convert through an ``array`` in C.
+
+Exact division a / b with ``DIVISION_CUTOFF`` (32) or more terms in a is
+one integer ``divmod`` at such an X, 8w >= bits(a) + bits(|b|_1) + 2
+(|b|_1 = sum |b_i|).  If b | a in Z[q] then b(X) | a(X), so a nonzero
+integer remainder proves b does not divide a; it is the witness of the
+``NotDivisibleError``.  Otherwise the quotient's signed base-X digits c
+are the answer if max|c_i| * |b|_1 < X/2: then every coefficient of c*b,
+and of a, is a signed base-X digit and (c*b)(X) = a(X), so c*b = a.  If
+that bound fails, and for short dividends, the loop ``_divmod_int``
+divides.
 
 Fractions num/den of such polynomials are kept in a canonical form: num and
 den coprime over Q[q], their integer contents coprime, lc(den) > 0; so
@@ -34,6 +41,8 @@ and cyclotomic polynomials used for exact division decisions.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -71,11 +80,13 @@ def _neg(a):
     return tuple(-c for c in a)
 
 
-KRONECKER_CUTOFF = 24   # both operands need this many terms for _mul_kronecker
+KRONECKER_CUTOFF = 6    # nonzero terms each operand needs for _mul_kronecker
+DIVISION_CUTOFF = 32    # dividends of this many terms go to _divexact_packed first
 
 
 def _mul(a, b):
-    if len(a) >= KRONECKER_CUTOFF and len(b) >= KRONECKER_CUTOFF:
+    if (len(a) - a.count(0) >= KRONECKER_CUTOFF
+            and len(b) - b.count(0) >= KRONECKER_CUTOFF):
         return _mul_kronecker(a, b)
     return _mul_schoolbook(a, b)
 
@@ -91,42 +102,52 @@ def _mul_schoolbook(a, b):
     return _trim(out)
 
 
+# the signed array type of each digit width that has one, where array
+# items are little-endian like the packed integers
+_ITEM_CODES = {array(c).itemsize: c for c in "bhiq"} if sys.byteorder == "little" else {}
+
+
+def _digit_bytes(bits):
+    """Bytes per digit of this many bits: an array item size if one fits."""
+    w = (bits + 7) >> 3
+    return min((s for s in _ITEM_CODES if s >= w), default=w)
+
+
 def _kron_pack(a, w):
-    """The integer sum of a[i] * 256^(w*i); needs |a[i]| < 256^w."""
-    if min(a) >= 0:
-        return int.from_bytes(b"".join([c.to_bytes(w, "little") for c in a]), "little")
-    zero = bytes(w)
-    pos = b"".join([c.to_bytes(w, "little") if c > 0 else zero for c in a])
-    neg = b"".join([(-c).to_bytes(w, "little") if c < 0 else zero for c in a])
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+    """The integer sum of a[i] * 256^(w*i); needs -256^w / 2 <= a[i] < 256^w / 2.
+
+    Flipping the top bit of each two's-complement digit adds 256^w / 2 to
+    it; that offset is then subtracted once."""
+    if w in _ITEM_CODES:
+        s = array(_ITEM_CODES[w], a).tobytes()
+    else:
+        s = b"".join([c.to_bytes(w, "little", signed=True) for c in a])
+    o = int.from_bytes((bytes(w - 1) + b"\x80") * len(a), "little")
+    return (int.from_bytes(s, "little") ^ o) - o
 
 
 def _kron_unpack(x, w, m):
-    """The m signed base-256^w digits of x, each in [-256^w / 2, 256^w / 2).
-
-    Adding 256^w / 2 to every digit makes them all non-negative, so the
-    digits are read straight off the bytes with no carry between them.
-    """
-    half = 1 << (8 * w - 1)
-    x += int.from_bytes((bytes(w - 1) + b"\x80") * m, "little")
-    s = x.to_bytes(w * m, "little")
-    return [int.from_bytes(s[i:i + w], "little") - half for i in range(0, w * m, w)]
+    """The m signed base-256^w digits of x, each in [-256^w / 2, 256^w / 2),
+    or OverflowError.  Adding 256^w / 2 to every digit makes the bytes
+    carry-free; flipping each top bit back gives two's complement."""
+    o = int.from_bytes((bytes(w - 1) + b"\x80") * m, "little")
+    s = ((x + o) ^ o).to_bytes(w * m, "little")
+    if w in _ITEM_CODES:
+        return array(_ITEM_CODES[w], s).tolist()
+    return [int.from_bytes(s[i:i + w], "little", signed=True) for i in range(0, w * m, w)]
 
 
 def _mul_kronecker(a, b):
-    """Product by Kronecker substitution: evaluate both operands at q = 256^w,
-    multiply the two integers once, and read the coefficients off the digits.
+    """Product by Kronecker substitution at q = 256^w.
 
     A product coefficient is a sum of min(len(a), len(b)) terms, each below
     2^(bits(a) + bits(b)) in absolute value, so with a sign bit on top it
-    fits in k = bits(a) + bits(b) + bitlen(min length) + 1 bits; w is k in
-    whole bytes.
-    """
+    fits in k = bits(a) + bits(b) + bitlen(min length) + 1 bits."""
     if not a or not b:
         return ()
     k = (max(max(a), -min(a)).bit_length() + max(max(b), -min(b)).bit_length()
          + min(len(a), len(b)).bit_length() + 1)
-    w = (k + 7) >> 3
+    w = _digit_bytes(k)
     x = _kron_pack(a, w)
     y = x if b is a else _kron_pack(b, w)   # x * x takes CPython's squaring path
     return _trim(_kron_unpack(x * y, w, len(a) + len(b) - 1))
@@ -168,6 +189,7 @@ def _divmod_int(a, b):
     a = list(a)
     lb = b[-1]
     db = len(b) - 1
+    terms = [(j, bj) for j, bj in enumerate(b) if bj]
     q = [0] * max(len(a) - db, 0)
     for i in range(len(a) - 1, db - 1, -1):
         c = a[i]
@@ -177,29 +199,50 @@ def _divmod_int(a, b):
             raise NotDivisibleError("non-integral quotient coefficient", witness=c)
         f = c // lb
         q[i - db] = f
-        for j, bj in enumerate(b):
+        for j, bj in terms:
             a[i - db + j] -= f * bj
     return _trim(q), _trim(a)
 
 
 def _divexact(a, b):
+    if len(a) >= DIVISION_CUTOFF:
+        q = _divexact_packed(a, b)
+        if q is not None:
+            return q
     q, r = _divmod_int(a, b)
     if r:
         raise NotDivisibleError("nonzero remainder", witness=r)
     return q
 
 
+def _divexact_packed(a, b):
+    """a / b by one integer division at q = 256^w (see the module
+    docstring), or None when the digit bound fails.  w leaves room for a
+    quotient with coefficients up to twice as large as a's."""
+    norm = sum(map(abs, b))
+    w = _digit_bytes(max(max(a), -min(a)).bit_length() + norm.bit_length() + 2)
+    x, r = divmod(_kron_pack(a, w), _kron_pack(b, w))
+    if r:
+        raise NotDivisibleError("nonzero remainder", witness=r)
+    try:
+        c = _kron_unpack(x, w, len(a) - len(b) + 1)
+    except OverflowError:           # x has more digits than a quotient would
+        return None
+    return tuple(c) if max(max(c), -min(c)) * norm < 1 << (8 * w - 1) else None
+
+
 def _pseudo_rem(a, b):
     """prem(a, b): remainder of lc(b)^(da-db+1) * a by b, over Z."""
     da, db = len(a) - 1, len(b) - 1
     lb = b[-1]
+    terms = [(j, bj) for j, bj in enumerate(b[:-1]) if bj]
     a = list(a)
     for i in range(da, db - 1, -1):
         c = a[i]
-        for j in range(len(a)):
-            a[j] *= lb
+        if lb != 1:              # a[i + 1:] is already zero, a[i] is zeroed below
+            a[:i] = [x * lb for x in a[:i]]
         if c:
-            for j, bj in enumerate(b):
+            for j, bj in terms:
                 a[i - db + j] -= c * bj
         a[i] = 0
     return _trim(a)
@@ -326,18 +369,21 @@ class QPoly:
 
     def stretch(self, k):
         """Substitute q -> q^k (k >= 1)."""
+        if k < 1:
+            raise ValueError(f"stretch needs k >= 1, got {k}")
         if k == 1 or not self.coeffs:
             return self
         out = [0] * ((len(self.coeffs) - 1) * k + 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * k] = c
-        return QPoly(out)
+        out[::k] = self.coeffs
+        return QPoly._raw(tuple(out))
 
     def shifted(self, k):
-        """Multiply by q^k."""
+        """Multiply by q^k (k >= 0)."""
+        if k < 0:
+            raise ValueError(f"shifted needs k >= 0, got {k}")
         if not self.coeffs:
             return self
-        return QPoly((0,) * k + self.coeffs)
+        return QPoly._raw((0,) * k + self.coeffs)
 
     def eval_int(self, x):
         acc = 0

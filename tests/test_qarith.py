@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtwist import qarith
-from qtwist.qarith import (KRONECKER_CUTOFF, LocScalar, NotDivisibleError, ONE,
-                           QPoly, Q, _kron_pack, _kron_unpack, _mul,
-                           _mul_kronecker, _mul_schoolbook, cyclotomic, divide_by_cyclotomic_product,
+from qtwist.qarith import (DIVISION_CUTOFF, KRONECKER_CUTOFF, LocScalar, NotDivisibleError,
+                           ONE, QPoly, Q, _divexact, _divexact_packed, _divmod_int, _gcd,
+                           _kron_pack, _kron_unpack, _mul, _mul_kronecker, _mul_schoolbook,
+                           _primitive, _pseudo_rem, _trim, cyclotomic,
+                           divide_by_cyclotomic_product,
                            divide_exact, is_unit,
                            q_binomial, q_factorial,
                            q_factorial_cyclotomic_exponents, q_int,
@@ -229,6 +231,16 @@ def test_stretch_multiplicative(a, k):
     assert (a * a).stretch(k) == a.stretch(k) * a.stretch(k)
 
 
+def test_stretch_and_shift_reject_bad_exponents():
+    a = QPoly([1, 2, 3])
+    assert a.stretch(3) == QPoly([1, 0, 0, 2, 0, 0, 3]) and a.shifted(0) == a
+    for k in (0, -1):                # stretch(0) used to give 3, stretch(-1) an IndexError
+        with pytest.raises(ValueError):
+            a.stretch(k)
+    with pytest.raises(ValueError):  # used to return a unshifted
+        a.shifted(-1)
+
+
 small_scalars = st.builds(
     LocScalar,
     st.lists(st.integers(-9, 9), max_size=4).map(QPoly),
@@ -283,6 +295,20 @@ def kernel_operands(draw, min_len=1, max_len=80):
     return tuple(body) + (lead,)
 
 
+@st.composite
+def sparse_operands(draw, min_len=24, max_len=80):
+    """Trimmed tuples of 24+ terms with KRONECKER_CUTOFF - 2 to + 2 nonzero
+    coefficients, so products fall on both sides of the kernel choice."""
+    n = draw(st.integers(min_len, max_len))
+    k = draw(st.integers(KRONECKER_CUTOFF - 2, KRONECKER_CUTOFF + 2))
+    where = draw(st.sets(st.integers(0, n - 2), min_size=k - 1, max_size=k - 1))
+    bound = (1 << draw(st.integers(1, 100))) - 1
+    out = [0] * n
+    for i in list(where) + [n - 1]:
+        out[i] = draw(st.integers(1, bound)) * draw(st.sampled_from((1, -1)))
+    return tuple(out)
+
+
 @given(kernel_operands(), kernel_operands())
 @settings(max_examples=150, deadline=None)
 def test_mul_matches_schoolbook(a, b):
@@ -295,8 +321,10 @@ def test_mul_matches_schoolbook(a, b):
 @given(st.one_of(
     st.tuples(kernel_operands(max_len=8), kernel_operands(min_len=KRONECKER_CUTOFF)),
     st.tuples(kernel_operands(min_len=KRONECKER_CUTOFF - 2, max_len=KRONECKER_CUTOFF + 2),
-              kernel_operands(min_len=KRONECKER_CUTOFF))))
-@settings(max_examples=80, deadline=None)
+              kernel_operands(min_len=KRONECKER_CUTOFF)),
+    st.tuples(sparse_operands(), sparse_operands()),
+    st.tuples(sparse_operands(), kernel_operands(min_len=24))))
+@settings(max_examples=120, deadline=None)
 def test_mul_matches_schoolbook_near_cutoff_and_unbalanced(ab):
     a, b = ab
     ref = _mul_schoolbook(a, b)
@@ -315,14 +343,17 @@ def test_kronecker_products_that_cancel(a, b):
     assert (pa * pb - pb * pa).is_zero()
 
 
-@pytest.mark.parametrize("n", [KRONECKER_CUTOFF - 1, KRONECKER_CUTOFF, 40, 80])
+@pytest.mark.parametrize("n", [KRONECKER_CUTOFF - 1, KRONECKER_CUTOFF, 23, 24, 40, 80])
 def test_kronecker_interior_cancellation(n):
     qn = Q ** n
     assert (qn - ONE) * (qn + ONE) == Q ** (2 * n) - ONE
     assert q_int(n) * QPoly((-1, 1)) == qn - ONE
+    # these operands are sparse, so `*` takes the loop; check the packed kernel directly
+    assert _mul_kronecker((qn - ONE).coeffs, (qn + ONE).coeffs) == (Q ** (2 * n) - ONE).coeffs
+    assert _mul_kronecker(q_int(n).coeffs, (-1, 1)) == (qn - ONE).coeffs
 
 
-@pytest.mark.parametrize("w", [1, 2, 7, 26])
+@pytest.mark.parametrize("w", [1, 2, 4, 7, 8, 26])
 def test_kronecker_digits_at_the_extremes(w):
     top = (1 << (8 * w - 1)) - 1
     digits = [top, -top, -top - 1, top, 0, -1, 1, -top, -top - 1, top]
@@ -342,6 +373,157 @@ def test_kronecker_coefficients_at_the_bound(bits, n):
     assert _mul_kronecker(a, b) == _mul_schoolbook(a, b)
     assert _mul_kronecker(a, a) == _mul_schoolbook(a, a)
     assert _mul_kronecker(b, b)[n - 1] == n * m * m
+
+
+# ---------------------------------------------------------------------------
+# division kernels: packed exact division and the pseudo-remainder, against
+# the loops they replace
+# ---------------------------------------------------------------------------
+
+def divexact_reference(a, b):
+    q, r = _divmod_int(a, b)
+    if r:
+        raise NotDivisibleError("nonzero remainder", witness=r)
+    return q
+
+
+def outcome(f, a, b):
+    try:
+        return f(a, b)
+    except NotDivisibleError:
+        return "not divisible"
+
+
+@st.composite
+def divisors(draw):
+    """Monomials, cyclotomics, and random divisors with interior zeros whose
+    leading coefficient is +-1, 2 or 3."""
+    kind = draw(st.sampled_from(("monomial", "cyclotomic", "random")))
+    lead = draw(st.sampled_from((1, -1, 2, -2, 3)))
+    if kind == "monomial":
+        return (0,) * draw(st.integers(0, 5)) + (lead,)
+    if kind == "cyclotomic":
+        return cyclotomic(draw(st.integers(1, 30))).coeffs
+    body = draw(st.lists(st.one_of(st.just(0), st.integers(-9, 9)), min_size=1, max_size=12))
+    return tuple(body) + (lead,)
+
+
+@st.composite
+def division_cases(draw):
+    """(a, b) with len(a) on both sides of DIVISION_CUTOFF; a = c * b, plus a
+    remainder r of lower degree than b when r is drawn nonzero."""
+    b = draw(divisors())
+    n = draw(st.integers(max(DIVISION_CUTOFF - 8 - len(b), 1), DIVISION_CUTOFF + 40))
+    bound = (1 << draw(st.integers(1, 80))) - 1
+    c = draw(st.lists(st.integers(-bound, bound), min_size=n, max_size=n).map(_trim))
+    r = draw(st.one_of(st.just(()), st.lists(st.integers(-bound, bound), min_size=len(b) - 1,
+                                               max_size=len(b) - 1).map(_trim)))
+    a = qarith._add(_mul_schoolbook(c, b), r)
+    return (a, b) if a else ((1,), b)
+
+
+@given(division_cases())
+@settings(max_examples=300, deadline=None)
+def test_divexact_matches_the_loop(ab):
+    a, b = ab
+    want = outcome(divexact_reference, a, b)
+    assert outcome(_divexact, a, b) == want
+    packed = outcome(_divexact_packed, a, b)
+    assert packed in (None, want)
+    if want != "not divisible" and max(map(abs, want)) <= max(map(abs, a)):
+        assert packed == want      # the digit width leaves room for this quotient
+
+
+@pytest.mark.parametrize("bits", [30, 62])
+def test_packed_width_leaves_room_for_the_divisor_norm(bits):
+    # a = m (q^8 - 1) over b = (8)_q: the quotient m (q - 1) is as large as
+    # a, but times |b|_1 = 8 it needs three bits more than a's coefficients
+    m = (1 << bits) - 1
+    b = (1,) * 8
+    a = (-m,) + (0,) * 7 + (m,)
+    assert _divexact_packed(a, b) == (-m, m)
+    long_a = _mul_schoolbook((-m, m) * 20, b)
+    assert len(long_a) >= DIVISION_CUTOFF
+    assert _divexact_packed(long_a, b) == _divexact(long_a, b) == (-m, m) * 20
+
+
+def test_packed_division_with_a_zero_remainder_that_is_not_exact():
+    # b = q + 1, so b(256) = 257; a(-1) = 514 = 2 * 257 with |a_i| <= 15, so
+    # the digits are one byte wide and 257 divides a(256), yet q + 1 does not
+    # divide a (a(-1) != 0).  Only the digit bound rejects the quotient.
+    a = [15 if i % 2 == 0 else -15 for i in range(36)]
+    a[0] -= 13
+    a[1] += 13
+    a, b = tuple(a), (1, 1)
+    assert _kron_pack(a, 1) % 257 == 0
+    assert _divexact_packed(a, b) is None
+    with pytest.raises(NotDivisibleError):
+        _divexact(a, b)
+    with pytest.raises(NotDivisibleError):
+        divexact_reference(a, b)
+
+
+def test_packed_division_falls_back_on_a_large_quotient():
+    # (q - 1)^2 times a tent 1, 2, ..., 40, ..., 1 has coefficients in
+    # {-2, ..., 1}, so the quotient is 20 times larger than the dividend
+    # and fails the digit bound; the loop returns it
+    c = tuple(range(1, 41)) + tuple(range(39, 0, -1))
+    b = (1, -2, 1)
+    a = _mul_schoolbook(c, b)
+    assert max(map(abs, a)) == 2 and len(a) >= DIVISION_CUTOFF
+    assert _divexact_packed(a, b) is None
+    assert _divexact(a, b) == c
+
+
+@pytest.mark.parametrize("d", [5, 7, 9, 10, 12])
+def test_packed_division_by_cyclotomics(d):
+    phi = cyclotomic(d).coeffs
+    a = (q_factorial(12) * QPoly([3, -1, 4])).coeffs
+    assert len(a) >= DIVISION_CUTOFF
+    assert _divexact_packed(a, phi) == divexact_reference(a, phi)
+    with pytest.raises(NotDivisibleError) as err:
+        _divexact_packed(qarith._add(a, (1,)), phi)
+    assert isinstance(err.value.witness, int)      # the integer remainder
+
+
+def pseudo_rem_reference(a, b):
+    """prem(a, b) as the loop scaled every coefficient before."""
+    da, db = len(a) - 1, len(b) - 1
+    lb = b[-1]
+    a = list(a)
+    for i in range(da, db - 1, -1):
+        c = a[i]
+        for j in range(len(a)):
+            a[j] *= lb
+        if c:
+            for j, bj in enumerate(b):
+                a[i - db + j] -= c * bj
+        a[i] = 0
+    return _trim(a)
+
+
+def gcd_reference(a, b):
+    if not a or not b:
+        return _primitive(a or b)
+    if len(a) == 1 or len(b) == 1:
+        return (1,)
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        if len(b) == 1:
+            return (1,)
+        a, b = b, _primitive(pseudo_rem_reference(a, b))
+    return a
+
+
+@given(divisors(), divisors(), divisors())
+@settings(max_examples=200, deadline=None)
+def test_pseudo_rem_and_gcd_match_the_reference_loop(g, u, v):
+    a, b = _mul_schoolbook(g, u), _mul_schoolbook(g, v)
+    assert _pseudo_rem(a, b) == pseudo_rem_reference(a, b)
+    assert _pseudo_rem(b, a) == pseudo_rem_reference(b, a)
+    assert _gcd(a, b) == gcd_reference(a, b) == _gcd(b, a)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,14 @@ Structure maps (p is passed where the prime matters):
 ``BiCoordPoly`` realizes A tensor_{A'} A as R[x1, x2] / (x1^p - x2^p)
 in the normal form with x2-exponent < p.
 
+A product of two ``CoordPoly`` whose coefficients a_i, b_j all have
+denominator 1, each with two or more nonzero, is one q-product
+(``qarith.mul_packed``) at x = q^L, L = max len(a_i) + max len(b_j) - 1:
+row k of the product, sum_{i+j=k} a_i b_j, has at most L terms, so the
+blocks of L terms cannot overlap.  Other products (a fractional
+coefficient, or a monomial factor, whose packed rows would be long and
+sparse) multiply coefficient by coefficient.
+
 ``DenseModule`` and ``SparseModule`` hold the module arithmetic shared by
 every coefficient container of the package: the dense ``CoordPoly`` and
 ``divpow.XiPoly``, and the sparse ``BiCoordPoly``, ``divpow.DPElem`` and
@@ -28,7 +36,7 @@ every coefficient container of the package: the dense ``CoordPoly`` and
 from __future__ import annotations
 
 from .qarith import (LocScalar, ONE_SCALAR, QPoly, ZERO_SCALAR, divide_exact,
-                     power, q_int, q_int_pow)
+                     mul_packed, power, q_int, q_int_pow)
 
 SIDE_A = "A"
 SIDE_APRIME = "A'"
@@ -279,8 +287,14 @@ class CoordPoly(DenseModule):
 
     @classmethod
     def monomial(cls, c, d, side=SIDE_A):
-        c = _as_scalar(c)
-        return cls((ZERO_SCALAR,) * d + (c,), side)
+        if d < 0:
+            raise ValueError(f"monomial needs degree d >= 0, got {d}")
+        return cls((ZERO_SCALAR,) * d + (_as_scalar(c),), side)
+
+    def __mul__(self, other):
+        rows = (isinstance(other, CoordPoly) and self.side == other.side
+                and mul_packed(self.coeffs, other.coeffs))
+        return self._new(rows) if rows else DenseModule.__mul__(self, other)
 
     def __repr__(self):
         return f"CoordPoly({self.side}, [{', '.join(map(str, self.coeffs))}])"
@@ -312,10 +326,7 @@ def sigma_power(f, k):
     """Substitute x -> q^k x: the k-th power of the twist."""
     if k < 0:
         raise ValueError("sigma_power needs k >= 0")
-    return CoordPoly(
-        tuple(c * QPoly((0,) * (k * d) + (1,)) if d else c
-              for d, c in enumerate(f.coeffs)),
-        f.side)
+    return CoordPoly(tuple(c.shifted(k * d) for d, c in enumerate(f.coeffs)), f.side)
 
 
 def phi_abs(f, p):

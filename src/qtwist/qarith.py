@@ -4,7 +4,8 @@ Polynomials in q are represented as tuples of arbitrary-precision integers
 in ascending degree: a_0 + a_1*q + ... + a_n*q^n corresponds to
 (a_0, a_1, ..., a_n) with a_n != 0, and () for the zero polynomial.
 
-Products use the schoolbook loop, which skips zero coefficients, unless
+Products use the schoolbook loop, which skips the zero coefficients of
+both operands (it walks a list of b's nonzero terms), unless
 both operands have ``KRONECKER_CUTOFF`` (6) or more nonzero ones; then
 Kronecker substitution (Kronecker 1882; Harvey, J. Symb. Comput. 2009)
 packs each into one integer at q = X = 256^w, multiplies the two once
@@ -95,9 +96,10 @@ def _mul_schoolbook(a, b):
     if not a or not b:
         return ()
     out = [0] * (len(a) + len(b) - 1)
+    terms = [(j, bj) for j, bj in enumerate(b) if bj]
     for i, ai in enumerate(a):
         if ai:
-            for j, bj in enumerate(b):
+            for j, bj in terms:
                 out[i + j] += ai * bj
     return _trim(out)
 
@@ -679,6 +681,22 @@ class _Frac:
 
     # -- substitutions / evaluation -----------------------------------------
 
+    def shifted(self, s):
+        """Multiply by q^s (s >= 0), as ``QPoly.shifted``, with no gcd.
+
+        t = min(s, v_q(den)) powers of q cancel from den and the numerator
+        is shifted by s - t.  The result is canonical: when s - t > 0, q
+        no longer divides den, and neither content nor lc(den) changes."""
+        if s < 0:
+            raise ValueError(f"shifted needs s >= 0, got {s}")
+        num, den = self.num.coeffs, self.den.coeffs
+        if not s or not num:
+            return self
+        t = 0
+        while t < s and not den[t]:
+            t += 1
+        return self._from_pair((0,) * (s - t) + num, den[t:])
+
     def subs_qpow(self, k):
         """Substitute q -> q^k.  Canonical form is preserved."""
         return self._from_pair(self.num.stretch(k).coeffs, self.den.stretch(k).coeffs)
@@ -779,6 +797,33 @@ def divide_by_cyclotomic_product(z, factors):
                 extra = extra * phi ** (e - k)
                 break
     return z._from_pair(num.coeffs, (z.den * extra).coeffs)
+
+
+def mul_packed(a, b):
+    """The coefficients of the product of sum a_i x^i and sum b_j x^j, for
+    ``LocScalar`` a_i, b_j, as one ``_mul`` of the numerators at x = q^L,
+    L = max len(a_i) + max len(b_j) - 1; or None unless every a_i, b_j
+    has denominator 1 and each side has two or more nonzero.
+
+    Row k of the product, sum_{i+j=k} a_i b_j, has at most L terms, so the
+    blocks of L terms cannot overlap."""
+    if any(c.den.coeffs != (1,) for c in (*a, *b)):
+        return None
+    rows = [[c.num.coeffs for c in f] for f in (a, b)]
+    if any(len(r) - r.count(()) < 2 for r in rows):
+        return None
+    stride = sum(max(map(len, r)) for r in rows) - 1
+    prod = _mul(*(_pack_rows(r, stride) for r in rows))
+    return [LocScalar._from_pair(_trim(prod[k:k + stride]), (1,))
+            for k in range(0, (len(a) + len(b) - 1) * stride, stride)]
+
+
+def _pack_rows(rows, stride):
+    """Substitute x = q^stride into sum rows[i] x^i."""
+    out = [0] * (len(rows) * stride)
+    for i, r in enumerate(rows):
+        out[i * stride:i * stride + len(r)] = r
+    return _trim(out)
 
 
 # ---------------------------------------------------------------------------

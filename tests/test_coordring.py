@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtwist.qarith import (LocScalar, ONE_SCALAR, QPoly, Q, divide_exact,
-                           q_int, random_locscalar)
-from qtwist.coordring import (BiCoordPoly, CoordPoly, SIDE_A, SIDE_APRIME,
+                           mul_packed, q_int, random_locscalar)
+from qtwist.coordring import (BiCoordPoly, CoordPoly, DenseModule, SIDE_A, SIDE_APRIME,
                               SideMismatchError, delta, frobenius_decompose,
                               frobenius_recompose, phi_abs, pullback_map,
                               q_derivative, rel_frobenius, sigma_power,
@@ -101,6 +103,56 @@ def test_rank_p_decomposition(p):
     parts = frobenius_decompose(f, p)
     assert parts[0] == g0 and parts[1] == g1
     assert all(parts[i].is_zero() for i in range(2, p))
+
+
+@st.composite
+def coord_polys(draw, fractional=False):
+    """Integral CoordPolys with zero rows inside and 0 to 6 nonzero rows (both
+    sides of the two-row gate), monomials and constants; with ``fractional``,
+    one nonzero coefficient gets a denominator of degree 1 or 2."""
+    bits = draw(st.sampled_from((4, 4, 80)))
+    row = st.lists(st.integers(-(1 << bits), 1 << bits), min_size=1,
+                   max_size=draw(st.integers(1, 9)))
+    rows = draw(st.one_of(
+        st.lists(st.one_of(st.just([]), row), max_size=7),
+        st.tuples(row, st.integers(0, 6)).map(lambda rd: [[]] * rd[1] + [rd[0]]),
+        row.map(lambda r: [r])))
+    cs = [LocScalar(QPoly(r)) for r in rows]
+    nonzero = [i for i, c in enumerate(cs) if c]
+    if fractional and nonzero:
+        i = draw(st.sampled_from(nonzero))
+        den = draw(st.lists(st.integers(-5, 5), min_size=1, max_size=2)) + [draw(st.integers(1, 3))]
+        cs[i] = LocScalar(cs[i].num, QPoly(den))
+    return CoordPoly(cs)
+
+
+@given(coord_polys(), st.one_of(coord_polys(), coord_polys(fractional=True)))
+@settings(max_examples=200, deadline=None)
+def test_product_matches_the_per_coefficient_route(f, g):
+    assert f * g == DenseModule.__mul__(f, g) == g * f
+
+
+def test_packed_product_rows_of_full_length():
+    # the longest rows meet in one product row, of exactly the packing stride
+    a = QPoly([1, 2, 3, 4])
+    f = a * x ** 2 + Q * x + 5
+    g = (a + 1) * x + QPoly([7, 0, 0, 0, 0, 1])
+    assert f * g == DenseModule.__mul__(f, g)
+    assert len((f * g).coeff(2).num.coeffs) == 4 + 6 - 1   # a (7 + q^5) + q (a + 1)
+
+
+def test_packed_product_needs_two_integral_rows_on_each_side():
+    f, g = Q * x ** 2 + 5, x + 1
+    assert mul_packed(f.coeffs, g.coeffs) == list((f * g).coeffs)
+    assert mul_packed(f.coeffs, (3 * x ** 4).coeffs) is None
+    assert mul_packed(f.coeffs, (x + LocScalar(1, QPoly([1, 1]))).coeffs) is None
+
+
+def test_monomial_rejects_a_negative_degree():
+    assert CoordPoly.monomial(3, 2) == 3 * x ** 2
+    for d in (-1, -2):               # used to return the constant 3
+        with pytest.raises(ValueError):
+            CoordPoly.monomial(3, d)
 
 
 def test_side_mixing_is_an_error():

@@ -1,3 +1,5 @@
+import json
+import os
 import random
 
 import pytest
@@ -7,6 +9,7 @@ from qtwist.coordring import CoordPoly, SIDE_APRIME, q_derivative, sigma_power
 from qtwist.divpow import DPContext, DPElem
 from qtwist.diffcalc import (TwistedDiffOp, comult, op_apply, op_compose,
                              pairing, taylor)
+from qtwist.verify import _random_op
 
 x = CoordPoly.x()
 
@@ -87,6 +90,34 @@ def test_action_respects_composition(p, m):
         a, b = rand_op(rng, p, m), rand_op(rng, p, m)
         f = CoordPoly.monomial(1, rng.randint(0, 8))
         assert op_apply(op_compose(a, b), f) == op_apply(a, op_apply(b, f))
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "compose-golden.json")
+
+
+def compose_golden():
+    """op_compose(a, b) and sigma_power(f, k j) for each coefficient f of a,
+    on seeded random operators with integral (plain) and fractional
+    coefficients.  ``python tests/test_diffcalc.py`` writes this to GOLDEN."""
+    cases = []
+    for p, m in [(2, 1), (2, 2), (3, 1)]:
+        for plain in (True, False):
+            rng = random.Random(100 * p + 10 * m + plain)
+            for _ in range(2):
+                a, b = _random_op(rng, p, m, plain=plain), _random_op(rng, p, m, plain=plain)
+                cases.append({
+                    "p": p, "m": m, "plain": plain,
+                    "compose": {str(n): c.to_json()
+                                for n, c in sorted(op_compose(a, b).terms.items())},
+                    "sigma": [sigma_power(f, p ** m * j).to_json()
+                              for _, f in sorted(a.terms.items()) for j in range(4)],
+                })
+    return cases
+
+
+def test_compose_and_twist_match_the_golden_values():
+    with open(GOLDEN) as fh:
+        assert compose_golden() == json.load(fh)
 
 
 def test_compose_associative_random():
@@ -173,3 +204,9 @@ def test_level_embedding_on_monomials():
                 for _ in range(n):
                     oracle = q_derivative(oracle, k)
                 assert op_apply(gen(p, m, n), f) == oracle * mult ** n
+
+
+if __name__ == "__main__":
+    with open(GOLDEN, "w") as fh:
+        json.dump(compose_golden(), fh)
+        fh.write("\n")

@@ -259,6 +259,28 @@ def test_fraction_field_axioms(a, b, c):
         assert (a / c) * c == a
 
 
+@given(st.lists(st.integers(-9, 9), max_size=4).map(QPoly),
+       st.lists(st.integers(-9, 9), min_size=1, max_size=4).map(QPoly).filter(bool),
+       st.integers(0, 4), st.integers(0, 7))
+@settings(max_examples=120, deadline=None)
+def test_fraction_shift_is_multiplication_by_a_power_of_q(num, den, v, s):
+    # den = q^v * den: s runs below, at and above v_q(den)
+    z = LocScalar(num, den.shifted(v))
+    qs = LocScalar(QPoly((0,) * s + (1,)))
+    assert z.shifted(s) == z * qs == LocScalar(num.shifted(s), den.shifted(v))
+    assert z.shifted(s).shifted(v) == z.shifted(s + v)
+
+
+def test_fraction_shift_cancels_powers_of_q_first():
+    z = LocScalar(QPoly([2, 1]), QPoly([0, 0, 3, 1]))      # (q + 2) / (q^3 + 3q^2)
+    assert z.shifted(1) == LocScalar(QPoly([2, 1]), QPoly([0, 3, 1]))
+    assert z.shifted(2) == LocScalar(QPoly([2, 1]), QPoly([3, 1]))
+    assert z.shifted(5) == LocScalar(QPoly([0, 0, 0, 2, 1]), QPoly([3, 1]))
+    assert LocScalar(QPoly()).shifted(3) == LocScalar(QPoly()) and z.shifted(0) == z
+    with pytest.raises(ValueError):
+        z.shifted(-1)
+
+
 def test_qpoly_serialization_roundtrip():
     a = QPoly([1, -2, 0, 10 ** 30])
     assert QPoly.from_json(a.to_json()) == a
@@ -330,6 +352,28 @@ def test_mul_matches_schoolbook_near_cutoff_and_unbalanced(ab):
     ref = _mul_schoolbook(a, b)
     assert _mul(a, b) == ref == _mul(b, a)
     assert _mul_kronecker(a, b) == ref == _mul_kronecker(b, a)
+
+
+def schoolbook_every_term(a, b):
+    """The schoolbook loop that walks every b_j, as the reference."""
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return _trim(out)
+
+
+@given(st.one_of(st.tuples(kernel_operands(max_len=12), kernel_operands(max_len=12)),
+                 st.tuples(sparse_operands(), sparse_operands())))
+@settings(max_examples=100, deadline=None)
+def test_schoolbook_skips_zeros_of_both_operands(ab):
+    a, b = ab
+    assert _mul_schoolbook(a, b) == schoolbook_every_term(a, b) == _mul_schoolbook(b, a)
+    assert _mul_schoolbook(a, (0,) * 3 + b) == schoolbook_every_term(a, (0,) * 3 + b)
+    assert _mul_schoolbook(a, ()) == () == _mul_schoolbook((), b)
 
 
 @given(kernel_operands(min_len=KRONECKER_CUTOFF), kernel_operands(min_len=KRONECKER_CUTOFF))

@@ -17,9 +17,13 @@ relative Frobenius, i.e. supported on x-exponents divisible by p.
 
 Truncation works modulo (p, q-1)^N: the quotient ring is realized as
 Z[t]/(p, t)^N with t = q - 1, a finite local ring whose elements are
-tuples (c_0 mod p^N, ..., c_(N-1) mod p).  Quasi-nilpotence iterates the
-derivation on basis vectors until it vanishes in the quotient; the
-truncated horizontal-section probe enumerates the whole finite module.
+tuples (c_0 mod p^N, ..., c_(N-1) mod p).  A coefficient num/den of the
+localization vanishes there exactly when its numerator does, because
+its denominator is a unit modulo (p, t); ``coordpoly_vanishes`` reduces
+numerators only.  Quasi-nilpotence iterates the derivation on basis
+vectors until it vanishes in the quotient; the truncated
+horizontal-section probe enumerates the whole finite module once and
+keeps a greedy generating set of the kernel.
 """
 
 from __future__ import annotations
@@ -36,21 +40,6 @@ class ResourceCapError(RuntimeError):
     """A truncated enumeration would exceed the configured size cap."""
 
 
-class TruncationSpec:
-    """Work modulo (p, q-1)^N with x-degree bounded by d."""
-
-    __slots__ = ("N", "d")
-
-    def __init__(self, N, d=0):
-        if N < 1 or d < 0:
-            raise ValueError("need N >= 1 and d >= 0")
-        self.N = N
-        self.d = d
-
-    def __repr__(self):
-        return f"TruncationSpec(N={self.N}, d={self.d})"
-
-
 class RBar:
     """Element of Z[t]/(p, t)^N: coefficient b of t^b lives mod p^(N-b)."""
 
@@ -61,13 +50,6 @@ class RBar:
         self.N = N
         vals = list(value) + [0] * (N - len(value))
         self.value = tuple(vals[b] % p ** (N - b) for b in range(N))
-
-    @classmethod
-    def from_locscalar(cls, z, p, N):
-        """Reduce num/den; the denominator is a unit mod (p, t)."""
-        num = cls(p, N, z.num.to_q_minus_one())
-        den = cls(p, N, z.den.to_q_minus_one())
-        return num * den.inverse()
 
     def is_zero(self):
         return all(c == 0 for c in self.value)
@@ -83,15 +65,7 @@ class RBar:
         return RBar(self.p, self.N,
                     tuple(a + b for a, b in zip(self.value, other.value)))
 
-    def __neg__(self):
-        return RBar(self.p, self.N, tuple(-a for a in self.value))
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
-        if isinstance(other, int):
-            return RBar(self.p, self.N, tuple(a * other for a in self.value))
         out = [0] * self.N
         for i, a in enumerate(self.value):
             if not a:
@@ -100,20 +74,6 @@ class RBar:
                 if i + j < self.N:
                     out[i + j] += a * b
         return RBar(self.p, self.N, out)
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        u = self.value
-        if u[0] % self.p == 0:
-            raise ZeroDivisionError("not a unit in the truncated ring")
-        pN = self.p ** self.N
-        w0 = pow(u[0], -1, pN)
-        w = [w0]
-        for b in range(1, self.N):
-            acc = sum(u[j] * w[b - j] for j in range(1, b + 1))
-            w.append((-w0 * acc) % self.p ** (self.N - b))
-        return RBar(self.p, self.N, w)
 
     def lift(self):
         """A canonical integer-polynomial representative in q."""
@@ -137,13 +97,17 @@ class RBar:
         return f"RBar(p={self.p}, N={self.N}, {list(self.value)})"
 
 
-def reduce_coordpoly(f, p, N):
-    """List of RBar reductions of the coefficients (index = x-degree)."""
-    return [RBar.from_locscalar(c, p, N) for c in f.coeffs]
-
-
 def coordpoly_vanishes(f, p, N):
-    return all(c.is_zero() for c in reduce_coordpoly(f, p, N))
+    """Whether every coefficient of f vanishes modulo (p, q-1)^N.
+
+    Each denominator is a unit modulo (p, q-1), so a coefficient
+    vanishes exactly when its numerator does.
+    """
+    for c in f.coeffs:
+        if not c.in_localization(p):
+            raise ZeroDivisionError(
+                f"coefficient {c} is outside the localization at p = {p}")
+    return all(RBar(p, N, c.num.to_q_minus_one()).is_zero() for c in f.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -261,25 +225,22 @@ def commute_check(p, m, f):
             "twist": (lhs1, rhs1), "derivative": (lhs2, rhs2)}
 
 
-def quasi_nilpotence_check(module, trunc, K):
+def quasi_nilpotence_check(module, N, K):
     """Iterate theta on every basis vector; True if each iterate dies
     modulo (p, q-1)^N within K steps."""
-    p, N = module.p, trunc.N
     for j in range(module.rank):
         vec = [CoordPoly(1 if i == j else 0, module.side)
                for i in range(module.rank)]
-        dead = False
         for _ in range(K):
             vec = theta_apply(module, vec)
-            if all(coordpoly_vanishes(v, p, N) for v in vec):
-                dead = True
+            if all(coordpoly_vanishes(v, module.p, N) for v in vec):
                 break
-        if not dead:
+        else:
             return False
     return True
 
 
-def h0_truncated(module, trunc, cap=10 ** 6):
+def h0_truncated(module, N, d, cap=10 ** 6):
     """Generators of the kernel of theta on the truncated module.
 
     The module (coefficients in Z[t]/(p,t)^N, x-degree <= d) is finite;
@@ -287,7 +248,7 @@ def h0_truncated(module, trunc, cap=10 ** 6):
     kernel is extracted greedily.  Raises ResourceCapError when the
     enumeration would be larger than ``cap``.
     """
-    p, N, d = module.p, trunc.N, trunc.d
+    p = module.p
     if module.rank == 0:
         return []
     slots = module.rank * (d + 1)
@@ -295,35 +256,34 @@ def h0_truncated(module, trunc, cap=10 ** 6):
     if ring_size ** slots > cap:
         raise ResourceCapError(
             f"module size {ring_size}^{slots} exceeds cap {cap}")
-    elements = list(RBar.all_elements(p, N))
+    ring = list(RBar.all_elements(p, N))
+    lifted = [(c, LocScalar(c.lift())) for c in ring]
     kernel = []
-    for combo in itertools.product(elements, repeat=slots):
-        vec = []
-        for j in range(module.rank):
-            cs = combo[j * (d + 1):(j + 1) * (d + 1)]
-            vec.append(CoordPoly([LocScalar(c.lift()) for c in cs], module.side))
-        image = theta_apply(module, vec)
-        if all(coordpoly_vanishes(v, p, N) for v in image):
-            kernel.append(tuple(combo))
-    return _generating_set(kernel, elements, slots, p, N)
+    for combo in itertools.product(lifted, repeat=slots):
+        vec = [CoordPoly([z for _, z in combo[j * (d + 1):(j + 1) * (d + 1)]],
+                         module.side) for j in range(module.rank)]
+        if all(coordpoly_vanishes(v, p, N) for v in theta_apply(module, vec)):
+            kernel.append(tuple(c for c, _ in combo))
+    return _generating_set(kernel, ring, (RBar(p, N),) * slots)
 
 
-def _generating_set(kernel, ring, slots, p, N):
-    """Greedy minimal generating set of a finite module given as a set."""
-    kernel_set = set(kernel)
-    zero = tuple(RBar(p, N) for _ in range(slots))
-    span = {zero}
+def span(gens, ring, base):
+    """Every b + s_1 g_1 + ... + s_k g_k with b in the set ``base`` and
+    each s_i in ``ring``, as a set of tuples."""
+    for g in gens:
+        base = {tuple(b + s * c for b, c in zip(v, g)) for v in base for s in ring}
+    return base
+
+
+def _generating_set(kernel, ring, zero):
+    """Greedy minimal generating set of a finite module given as a list."""
+    spanned = {zero}
     gens = []
     for v in sorted(kernel, key=lambda t: sum(sum(c.value) for c in t)):
-        if v in span:
+        if v in spanned:
             continue
         gens.append(v)
-        new_span = set()
-        for base in span:
-            for s in ring:
-                shifted = tuple(b + s * c for b, c in zip(base, v))
-                new_span.add(shifted)
-        span = new_span
-        if len(span) == len(kernel_set):
+        spanned = span([v], ring, spanned)
+        if len(spanned) == len(kernel):
             break
     return gens

@@ -156,10 +156,11 @@ class DenseModule:
             return self._new(tuple(a * c for a in self.coeffs))
         self._check_side(other)
         out = {}
+        terms = [(j, b) for j, b in enumerate(other.coeffs) if not b.is_zero()]
         for i, a in enumerate(self.coeffs):
             if a.is_zero():
                 continue
-            for j, b in enumerate(other.coeffs):
+            for j, b in terms:
                 accumulate(out, i + j, a * b)
         zero = self._coeff(0)
         return self._new([out.get(d, zero)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,10 +6,11 @@ import pytest
 from qtwist.qarith import LocScalar, QPoly, q_int, random_locscalar
 from qtwist.coordring import (CoordPoly, SIDE_A, SIDE_APRIME, SideMismatchError,
                               q_derivative, sigma_power)
-from qtwist.connect import (ConnModule, RBar, ResourceCapError, TruncationSpec,
-                            commute_check, coordpoly_vanishes, descent_solve,
-                            h0_truncated, level_raise, quasi_nilpotence_check,
-                            theta_apply)
+from qtwist import connect
+from qtwist.connect import (ConnModule, RBar, ResourceCapError, commute_check,
+                            coordpoly_vanishes, descent_solve, h0_truncated,
+                            level_raise, quasi_nilpotence_check, theta_apply)
+from qtwist.verify import VerifyConfig, _trivial_kernel_size, check_h0_bruteforce
 
 x = CoordPoly.x()
 xp = CoordPoly.x(SIDE_APRIME)
@@ -22,25 +24,67 @@ def rand_poly(rng, p, side=SIDE_A, deg=2):
 # the truncated scalar ring
 # ---------------------------------------------------------------------------
 
+def _inverse(u):
+    """Inverse of a unit of Z[t]/(p, t)^N, solving u w = 1 degree by degree."""
+    p, N = u.p, u.N
+    if u.value[0] % p == 0:
+        raise ZeroDivisionError("not a unit in the truncated ring")
+    w = [pow(u.value[0], -1, p ** N)]
+    for b in range(1, N):
+        acc = sum(u.value[j] * w[b - j] for j in range(1, b + 1))
+        w.append(-w[0] * acc)
+    return RBar(p, N, w)
+
+
+def _reduce(z, p, N):
+    """Reference reduction of a localized scalar: numerator times the
+    inverse of the denominator, both reduced modulo (p, t)^N."""
+    num = RBar(p, N, z.num.to_q_minus_one())
+    return num * _inverse(RBar(p, N, z.den.to_q_minus_one()))
+
+
 def test_rbar_reduction():
-    r = RBar.from_locscalar(LocScalar(q_int(2)), 2, 2)   # 1 + q = 2 + t
+    r = _reduce(LocScalar(q_int(2)), 2, 2)              # 1 + q = 2 + t
     assert r.value == (2, 1)
-    assert RBar.from_locscalar(LocScalar(QPoly([4])), 2, 2).value == (0, 0)
+    assert _reduce(LocScalar(QPoly([4])), 2, 2).value == (0, 0)
 
 
 def test_rbar_inverse():
-    z = RBar.from_locscalar(LocScalar(QPoly([2, 1])), 2, 3)   # 2 + q = 3 + t
-    assert (z * z.inverse()).value == (1, 0, 0)
+    z = _reduce(LocScalar(QPoly([2, 1])), 2, 3)         # 2 + q = 3 + t
+    assert (z * _inverse(z)).value == (1, 0, 0)
     with pytest.raises(ZeroDivisionError):
-        RBar(2, 2, (2, 0)).inverse()
+        _inverse(RBar(2, 2, (2, 0)))
 
 
 def test_rbar_unit_denominator():
     z = LocScalar(QPoly([1, 1]), QPoly([3]))      # (1+q)/3 at p = 2
-    r = RBar.from_locscalar(z, 2, 2)
+    r = _reduce(z, 2, 2)
     three = RBar(2, 2, (3,))
-    expect = RBar.from_locscalar(LocScalar(QPoly([1, 1])), 2, 2)
+    expect = _reduce(LocScalar(QPoly([1, 1])), 2, 2)
     assert r * three == expect
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_vanishing_agrees_with_the_reduction_of_the_fraction(p):
+    rng = random.Random(p)
+    t = LocScalar(QPoly([-1, 1]))
+    for N in (1, 2, 3):
+        seen = set()
+        for _ in range(100):
+            z = random_locscalar(rng, p, 2, 5)
+            for i in range(N + 1):          # p^i t^(N-i) z lies in (p, t)^N
+                w = z * p ** i * t ** (N - i)
+                assert coordpoly_vanishes(CoordPoly([w, w * z]), p, N)
+                assert _reduce(w, p, N).is_zero()
+            vanishes = coordpoly_vanishes(CoordPoly(z), p, N)
+            assert vanishes == _reduce(z, p, N).is_zero()
+            seen.add(vanishes)
+        assert seen == {True, False}
+    outside = LocScalar(1, QPoly([p]))            # 1/p
+    with pytest.raises(ZeroDivisionError):
+        coordpoly_vanishes(CoordPoly([0, outside]), p, 1)
+    with pytest.raises(ZeroDivisionError):
+        _reduce(outside, p, 1)
 
 
 def test_rbar_size_and_enumeration():
@@ -171,43 +215,58 @@ def test_commute_random(p, m):
 # ---------------------------------------------------------------------------
 
 def test_quasi_nilpotence_examples():
-    assert quasi_nilpotence_check(
-        ConnModule.trivial(2, 1, SIDE_A, 0), TruncationSpec(2), 1)
-    assert quasi_nilpotence_check(
-        ConnModule.trivial(2, 1, SIDE_A, 1), TruncationSpec(3), 3)
+    assert quasi_nilpotence_check(ConnModule.trivial(2, 1, SIDE_A, 0), 2, 1)
+    assert quasi_nilpotence_check(ConnModule.trivial(2, 1, SIDE_A, 1), 3, 3)
     ident = ConnModule(2, 0, SIDE_A, [[CoordPoly(1)]])
-    assert not quasi_nilpotence_check(ident, TruncationSpec(2), 8)
+    assert not quasi_nilpotence_check(ident, 2, 8)
 
 
 def test_h0_zero_module():
-    assert h0_truncated(ConnModule.trivial(2, 1, SIDE_A, 0), TruncationSpec(1, 0)) == []
+    assert h0_truncated(ConnModule.trivial(2, 1, SIDE_A, 0), 1, 0) == []
 
 
 def test_h0_trivial_full_kernel():
     # N = 1: (2)_q reduces to 0, so theta vanishes and the kernel is everything
     mod = ConnModule.trivial(2, 1, SIDE_A, 1)
-    gens = h0_truncated(mod, TruncationSpec(1, 1))
+    gens = h0_truncated(mod, 1, 1)
     # module has 4 elements over F_2 in degrees 0..1; 2 generators span it
     assert len(gens) == 2
 
 
+def _brute_force_kernel_size(p, m, N, d):
+    """Kernel size of theta on the trivial rank-1 module, by enumeration."""
+    mod = ConnModule.trivial(p, m, SIDE_A, 1)
+    ring = [LocScalar(c.lift()) for c in RBar.all_elements(p, N)]
+    return sum(coordpoly_vanishes(theta_apply(mod, [CoordPoly(list(cs))])[0], p, N)
+               for cs in itertools.product(ring, repeat=d + 1))
+
+
 def test_h0_bruteforce_n2():
     mod = ConnModule.trivial(2, 1, SIDE_A, 1)
-    trunc = TruncationSpec(2, 1)
-    gens = h0_truncated(mod, trunc)
+    gens = h0_truncated(mod, 2, 1)
     # independent enumeration: kernel = {a + bx : 2 | b's constant term}
-    count = 0
-    for a in RBar.all_elements(2, 2):
-        for b in RBar.all_elements(2, 2):
-            vec = [CoordPoly([LocScalar(a.lift()), LocScalar(b.lift())])]
-            img = theta_apply(mod, vec)
-            if all(coordpoly_vanishes(v, 2, 2) for v in img):
-                count += 1
-    assert count == 32
-    assert gens
+    assert _brute_force_kernel_size(2, 1, 2, 1) == 32
+    assert len(connect.span(gens, list(RBar.all_elements(2, 2)), {(RBar(2, 2),) * 2})) == 32
+
+
+@pytest.mark.parametrize("p,m,N,d", [(2, 1, 2, 1), (2, 2, 3, 1), (2, 0, 2, 2), (3, 1, 2, 1)])
+def test_annihilator_count_matches_the_enumeration(p, m, N, d):
+    assert _trivial_kernel_size(p, m, N, d) == _brute_force_kernel_size(p, m, N, d)
+
+
+def test_h0_check_catches_a_theta_without_the_level_factor(monkeypatch):
+    cfg = VerifyConfig()
+    assert check_h0_bruteforce(cfg) == (
+        True, "generators span the brute-force kernel (32 elements)")
+
+    def faulty(module, vec):           # theta of the trivial module, no (p^m)_q
+        return [q_derivative(v, module.p ** module.m) for v in vec]
+
+    monkeypatch.setattr(connect, "theta_apply", faulty)
+    assert check_h0_bruteforce(cfg) == (False, "generators span 8 of 32 kernel elements")
 
 
 def test_h0_resource_cap():
     mod = ConnModule.trivial(2, 1, SIDE_A, 3)
     with pytest.raises(ResourceCapError):
-        h0_truncated(mod, TruncationSpec(3, 4), cap=1000)
+        h0_truncated(mod, 3, 4, cap=1000)

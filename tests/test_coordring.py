@@ -148,6 +148,25 @@ def test_packed_product_needs_two_integral_rows_on_each_side():
     assert mul_packed(f.coeffs, (x + LocScalar(1, QPoly([1, 1]))).coeffs) is None
 
 
+def test_per_coefficient_product_skips_zero_coefficients(monkeypatch):
+    # a fractional coefficient sends the product coefficient by coefficient;
+    # only the 2 x 2 pairs of nonzero coefficients should be multiplied
+    f = LocScalar(1, q_int(3)) * x + 2
+    g = 3 * x ** 3 + Q
+    expect = (LocScalar(3, q_int(3)) * x ** 4 + 6 * x ** 3
+              + LocScalar(Q, q_int(3)) * x + 2 * Q)
+    products = []
+    mul = LocScalar.__mul__
+
+    def counted(a, b):
+        products.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(LocScalar, "__mul__", counted)
+    assert f * g == expect
+    assert len(products) == 4
+
+
 def test_monomial_rejects_a_negative_degree():
     assert CoordPoly.monomial(3, 2) == 3 * x ** 2
     for d in (-1, -2):               # used to return the constant 3

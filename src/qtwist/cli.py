@@ -21,6 +21,7 @@ import io
 import json
 import sys
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 from .coordring import CoordPoly, SIDE_A, SIDE_APRIME
 from .divpow import DPElem, LEVELS, PRIMES
@@ -87,7 +88,7 @@ def _report(args, payload, lines, rows=None):
     lines and the CSV rows (header first); only the requested one runs.
     """
     if args.format == "json":
-        text = json.dumps(payload(), indent=2) + "\n"
+        text = _json(payload()) + "\n"
     elif args.format == "csv":
         buf = io.StringIO()
         csv.writer(buf).writerows(rows())
@@ -95,6 +96,31 @@ def _report(args, payload, lines, rows=None):
     else:
         text = "\n".join(lines()) + "\n"
     _emit(args, text)
+
+
+def _json(obj, indent="\n"):
+    """json.dumps(obj, indent=2) for str-keyed dicts, lists, str, int, bool and
+    None, without the Python encoder that json.dumps runs when indenting."""
+    t = type(obj)
+    if t is str:
+        return encode_basestring_ascii(obj)
+    if t is int:
+        return repr(obj)
+    if t is bool or obj is None:
+        return "null" if obj is None else "true" if obj else "false"
+    if t is not dict and t is not list:
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+    if not obj:
+        return "{}" if t is dict else "[]"
+    inner = indent + "  "
+    if t is dict:
+        items = [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in obj.items()]
+    elif all(type(v) is str for v in obj):
+        items = map(encode_basestring_ascii, obj)
+    else:
+        items = [_json(v, inner) for v in obj]
+    left, right = "{}" if t is dict else "[]"
+    return left + inner + ("," + inner).join(items) + indent + right
 
 
 def _read_document(path, cls, what):

@@ -78,15 +78,16 @@ def op_compose(d1, d2):
     d1._check(d2)
     p, m = d1.p, d1.m
     k = p ** m
+    # (n1, j) -> C(n1, j)_Q f1, the left factor of each Leibniz term
+    scaled = {(n1, j): f1 if j in (0, n1) else f1 * q_binomial_pow(n1, j, k)
+              for n1, f1 in d1.terms.items() for j in range(n1 + 1)}
     out = {}
     for n2, f2 in d2.terms.items():
         derivs = taylor(f2, max(d1.terms, default=0), p, m).terms   # i -> D^<i>(f2)
-        for n1, f1 in d1.terms.items():
-            for i, g in derivs.items():
-                j = n1 - i
-                if j >= 0:
-                    accumulate(out, j + n2,
-                               f1 * (sigma_power(g, k * j) * q_binomial_pow(n1, j, k)))
+        for (n1, j), h in scaled.items():
+            g = derivs.get(n1 - j)
+            if g is not None:
+                accumulate(out, j + n2, h * sigma_power(g, k * j))
     return TwistedDiffOp(p, m, out)
 
 

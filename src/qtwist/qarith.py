@@ -34,6 +34,17 @@ denominators and then that of g with the new numerator, and neither takes
 a gcd of the full result.  ``LocScalar`` is such a fraction regarded in
 the localization of Z[q] at (p, q-1), p given by the caller.
 
+A gcd is one integer gcd (GCDHEU: Char, Geddes and Gonnet, JSC 1989;
+Geddes, Czapor and Labahn 1992, 7.7).  With M the largest |coefficient| of
+a and b, X = 256^w > 2M + 2 and h = gcd(a(X), b(X)).  A common factor G of
+degree >= 1 has its roots in |z| <= 1 + M < X/2, so |G(X)| > X/2, and G(X)
+divides h: h < X/2 proves the gcd is 1.  Else the primitive part g of the
+signed base-X digits of h is the gcd if it divides a and b: then the gcd
+is g*c with c(X) dividing the digits' content, at most X/2, which a c of
+degree >= 1 cannot.  a/g and b/g, the exact quotients that accepted g, are
+returned with it, so the fraction operations divide no further.  If g is
+no common divisor, Euclid by primitive pseudo-remainders decides.
+
 q-analogs: ``q_int(n)`` = 1 + q + ... + q^(n-1), ``q_factorial``,
 ``q_binomial`` (Gaussian binomial, computed by the q-Pascal recurrence),
 and cyclotomic polynomials used for exact division decisions.
@@ -86,6 +97,8 @@ DIVISION_CUTOFF = 32    # dividends of this many terms go to _divexact_packed fi
 
 
 def _mul(a, b):
+    if a == (1,) or b == (1,):       # a unit cofactor or denominator
+        return b if a == (1,) else a
     if (len(a) - a.count(0) >= KRONECKER_CUTOFF
             and len(b) - b.count(0) >= KRONECKER_CUTOFF):
         return _mul_kronecker(a, b)
@@ -162,12 +175,7 @@ def _scale(a, k):
 
 
 def _content(a):
-    g = 0
-    for c in a:
-        g = math.gcd(g, c)
-        if g == 1:
-            return 1
-    return g
+    return math.gcd(*a)
 
 
 def _primitive(a):
@@ -252,21 +260,33 @@ def _pseudo_rem(a, b):
 
 def _gcd(a, b):
     """Primitive gcd in Z[q] (a gcd over Q[q], normalized)."""
-    if not a:
-        return _primitive(b)
-    if not b:
-        return _primitive(a)
-    if len(a) == 1 or len(b) == 1:   # nonzero constants are units over Q
-        return (1,)
-    a, b = _primitive(a), _primitive(b)
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        if len(b) == 1:
-            return (1,)
-        r = _pseudo_rem(a, b)
-        a, b = b, _primitive(r)
-    return a
+    if not a or not b:
+        return _primitive(a or b)
+    return _gcd_cofactors(a, b)[0]
+
+
+def _gcd_cofactors(a, b):
+    """(g, a / g, b / g), g the primitive gcd of a and b (see the module
+    docstring); g = (1,) if a or b is a constant, a unit over Q, or zero."""
+    if len(a) <= 1 or len(b) <= 1:
+        return (1,), a, b
+    w = _digit_bytes(max(max(a), -min(a), max(b), -min(b)).bit_length() + 2)
+    h = math.gcd(_kron_pack(a, w), _kron_pack(b, w))
+    if h < 1 << (8 * w - 1):
+        return (1,), a, b
+    g = _primitive(_trim(_kron_unpack(h, w, min(len(a), len(b)))))   # h <= |a(X)|, |b(X)|
+    try:
+        return g, _divexact(a, g), _divexact(b, g)
+    except NotDivisibleError:        # g divides neither, or only one: Euclid decides
+        pass
+    g, r = _primitive(a), _primitive(b)
+    if len(g) < len(r):
+        g, r = r, g
+    while r:
+        if len(r) == 1:
+            return (1,), a, b
+        g, r = r, _primitive(_pseudo_rem(g, r))
+    return g, _divexact(a, g), _divexact(b, g)
 
 
 def is_decimal(s):
@@ -567,10 +587,7 @@ def _reduce_pair(num, den):
     """Canonicalize an arbitrary (num, den) pair of coefficient tuples."""
     if not den:
         raise ZeroDivisionError("zero denominator")
-    if num and len(den) > 1:
-        g = _gcd(num, den)
-        if g != (1,):
-            num, den = _divexact(num, g), _divexact(den, g)
+    _, num, den = _gcd_cofactors(num, den)
     return _coprime(num, den)
 
 
@@ -624,13 +641,12 @@ class _Frac:
         na, da, nb, db = self.num.coeffs, self.den.coeffs, other.num.coeffs, other.den.coeffs
         if da == (1,) and db == (1,):
             return self._from_pair(_add(na, nb), da)
-        g = _gcd(da, db)
-        s, dbg = (da, db) if g == (1,) else (_divexact(da, g), _divexact(db, g))
+        g, s, dbg = _gcd_cofactors(da, db)
         t = _add(_mul(na, dbg), _mul(nb, s))
-        g2 = _gcd(t, g)          # gcd(t, s * db), since s and dbg are prime to t
-        if g2 != (1,):
-            t, db = _divexact(t, g2), _divexact(db, g2)
-        return self._from_pair(*_coprime(t, _mul(s, db)))
+        # gcd(t, s * db) = gcd(t, g) =: g2, since s and dbg are prime to t;
+        # then db / g2 = dbg * (g / g2)
+        _, t, g = _gcd_cofactors(t, g)
+        return self._from_pair(*_coprime(t, _mul(s, _mul(dbg, g))))
 
     __radd__ = __add__
 
@@ -651,12 +667,8 @@ class _Frac:
         if da == (1,) and db == (1,):
             return self._from_pair(_mul(na, nb), da)
         # cross-reduce: the products of the coprime parts are coprime
-        g1 = _gcd(na, db)
-        if g1 != (1,):
-            na, db = _divexact(na, g1), _divexact(db, g1)
-        g2 = _gcd(nb, da)
-        if g2 != (1,):
-            nb, da = _divexact(nb, g2), _divexact(da, g2)
+        _, na, db = _gcd_cofactors(na, db)
+        _, nb, da = _gcd_cofactors(nb, da)
         return self._from_pair(*_coprime(_mul(na, nb), _mul(da, db)))
 
     __rmul__ = __mul__

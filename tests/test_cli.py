@@ -5,9 +5,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qtwist
-from qtwist.cli import build_parser, main
+from qtwist.cli import _json, build_parser, main
 from qtwist.coordring import CoordPoly, SIDE_APRIME
 from qtwist.divpow import DPElem
 from qtwist.frobdiv import level_minus_one_ctx
@@ -405,3 +407,33 @@ def test_pinned_output(monkeypatch, capsys, pinned):
     monkeypatch.chdir(os.path.dirname(os.path.dirname(DATA)))
     for _ in range(2):
         assert run(capsys, *pinned["argv"]) == (pinned["exit"], pinned["stdout"], pinned["stderr"])
+
+
+# strings with quotes, backslashes, control characters, line separators and
+# characters outside the BMP, next to whatever text hypothesis draws
+JSON_TEXT = st.text() | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\n\t", "é", "\u2028", "😀"])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=30)
+
+
+@given(JSON_VALUES)
+@settings(max_examples=300, deadline=None)
+def test_json_writer_matches_indented_json_dumps(obj):
+    assert _json(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("obj", [1.5, (1,), {"a": [1, {"b": 2.0}]}, {1: "x"}])
+def test_json_writer_rejects_other_types(obj):
+    with pytest.raises(TypeError):
+        _json(obj)
+
+
+def test_unserializable_report_exits_three(capsys, monkeypatch):
+    import qtwist.cli as cli
+
+    monkeypatch.setattr(cli, "u_consistency_check", lambda p, n_max: {"ok": 0.5})
+    code, out, err = run(capsys, "u-check", "--p", "2", "--format", "json")
+    assert code == 3 and out == ""
+    assert "internal error: TypeError" in err

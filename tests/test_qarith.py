@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -9,13 +10,14 @@ from hypothesis import strategies as st
 from qtwist import qarith
 from qtwist.qarith import (DIVISION_CUTOFF, KRONECKER_CUTOFF, LocScalar, NotDivisibleError,
                            ONE, QPoly, Q, _divexact, _divexact_packed, _divmod_int, _gcd,
+                           _gcd_cofactors, _scale,
                            _kron_pack, _kron_unpack, _mul, _mul_kronecker, _mul_schoolbook,
                            _primitive, _pseudo_rem, _trim, cyclotomic,
                            divide_by_cyclotomic_product,
                            divide_exact, is_unit,
                            q_binomial, q_factorial,
                            q_factorial_cyclotomic_exponents, q_int,
-                           random_locscalar)
+                           random_locscalar, random_qpoly)
 
 
 # ---------------------------------------------------------------------------
@@ -568,6 +570,88 @@ def test_pseudo_rem_and_gcd_match_the_reference_loop(g, u, v):
     assert _pseudo_rem(a, b) == pseudo_rem_reference(a, b)
     assert _pseudo_rem(b, a) == pseudo_rem_reference(b, a)
     assert _gcd(a, b) == gcd_reference(a, b) == _gcd(b, a)
+
+
+@st.composite
+def wide_polys(draw, max_terms):
+    """1..max_terms terms of up to 80 bits, interior zeros allowed, and a
+    leading coefficient of either sign."""
+    bound = 1 << draw(st.integers(1, 80))
+    coeff = st.integers(1 - bound, bound - 1)
+    n = draw(st.integers(0, max_terms - 1))
+    body = draw(st.lists(st.one_of(st.just(0), coeff), min_size=n, max_size=n))
+    return tuple(body) + (draw(coeff.filter(bool)),)
+
+
+@given(wide_polys(20), wide_polys(40), wide_polys(40),
+       st.integers(1, 1 << 40), st.integers(1, 1 << 20), st.integers(1, 1 << 20))
+@settings(max_examples=150, deadline=None)
+def test_gcd_cofactors_match_the_reference_loop(g, u, v, shared, ca, cb):
+    """A planted common factor g, contents with a shared part, up to 59
+    terms: the gcd is the parent loop's and the cofactors multiply back."""
+    a, b = _scale(_mul(g, u), shared * ca), _scale(_mul(g, v), -shared * cb)
+    h, a_h, b_h = _gcd_cofactors(a, b)
+    assert h == gcd_reference(a, b)
+    assert _mul(h, a_h) == a and _mul(h, b_h) == b
+    assert _gcd_cofactors(b, a) == (h, b_h, a_h)
+
+
+def count_calls(monkeypatch, name):
+    calls = Counter()
+    f = getattr(qarith, name)
+
+    def counted(*args):
+        calls[name] += 1
+        return f(*args)
+    monkeypatch.setattr(qarith, name, counted)
+    return calls
+
+
+def test_gcd_falls_back_to_euclid_when_the_digits_divide_only_one_operand(monkeypatch):
+    # X = 256 and b(-1) = 257, so a(X) = 257 divides b(X): the digits of
+    # h = 257 read q + 1, which divides a but not b
+    a, b = (1, 1), (5, -63, 63, -63, 63)
+    assert math.gcd(_kron_pack(a, 1), _kron_pack(b, 1)) == 257
+    calls = count_calls(monkeypatch, "_pseudo_rem")
+    assert _gcd_cofactors(a, b) == ((1,), a, b) and gcd_reference(a, b) == (1,)
+    assert calls["_pseudo_rem"] > 0
+
+
+@pytest.mark.parametrize("c", [s * (2 ** k + e) for k in (7, 8, 15, 16, 31, 32, 63, 64, 79)
+                               for e in (-1, 0, 1) for s in (1, -1)])
+def test_gcd_finds_a_root_at_the_top_of_the_coefficient_range(monkeypatch, c):
+    """q - c with |c| as large as any coefficient: at a point X below the
+    bound X > 2 max|a_i| + 2, such as X = c + 1, G(X) = 1 and the early exit
+    would miss G.  The heuristic itself finds it, with no Euclid step."""
+    g, u, v = (-c, 1), (1, 1), (-1, 1, 1)    # u and v are prime to each other
+    calls = count_calls(monkeypatch, "_pseudo_rem")
+    assert _gcd_cofactors(_mul(g, u), _mul(g, v)) == (g, u, v)
+    assert not calls
+
+
+def test_fraction_operations_divide_only_inside_the_gcd(monkeypatch):
+    calls, inside = Counter(), [0]
+    divexact, cofactors = qarith._divexact, qarith._gcd_cofactors
+
+    def counted_divexact(a, b):
+        calls["inside" if inside[0] else "outside"] += 1
+        return divexact(a, b)
+
+    def counted_cofactors(a, b):
+        inside[0] += 1
+        try:
+            return cofactors(a, b)
+        finally:
+            inside[0] -= 1
+    monkeypatch.setattr(qarith, "_divexact", counted_divexact)
+    monkeypatch.setattr(qarith, "_gcd_cofactors", counted_cofactors)
+    rng = random.Random(5)
+    xs = [LocScalar(random_qpoly(rng, 2, 3) * f, g * f) for f, g in
+          [(cyclotomic(d), cyclotomic(e)) for d in (1, 2, 3, 6) for e in (2, 4, 5)]]
+    for x in xs:
+        for y in xs:
+            x + y, x - y, x * y
+    assert calls["inside"] > 0 and calls["outside"] == 0
 
 
 # ---------------------------------------------------------------------------

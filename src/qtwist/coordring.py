@@ -454,13 +454,6 @@ def tensor_embed_left(f, p):
     return BiCoordPoly(p, {(d, 0): c for d, c in enumerate(f.coeffs)})
 
 
-def tensor_embed_right(f, p):
-    """f(x) -> f(x2): the second inclusion, reduced to normal form."""
-    if f.side != SIDE_A:
-        raise SideMismatchError("tensor embeddings expect elements of A")
-    return BiCoordPoly(p, {(0, d): c for d, c in enumerate(f.coeffs)})
-
-
 def tensor_diagonal_generator(p):
     """1 tensor x - x tensor 1, i.e. x2 - x1."""
     return BiCoordPoly(p, {(0, 1): ONE_SCALAR, (1, 0): -ONE_SCALAR})

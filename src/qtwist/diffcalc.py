@@ -14,9 +14,13 @@ partial sigma = Q sigma partial with Q = q^(p^m), the q-binomial theorem
 for Q-commuting operators (Kac and Cheung, Quantum Calculus, 2002) turns
 the rule into the twisted Leibniz formula
 
-    D^<n> o f = sum_{j<=n} C(n, j)_Q sigma^j(D^<n-j>(f)) D^<j>,
+    D^<n> o f = sum_{j<=n} C(n, j)_Q sigma^j(D^<n-j>(f)) D^<j>.
 
-which ``op_compose`` evaluates with the D^<i>(f) read off ``taylor``.
+``op_compose`` groups it by output index J; with the D^<i>(f2) read off
+``taylor``, each left coefficient f1_{n1} meets one product per J:
+
+    (f1_{n1} D^<n1>) o (sum f2_{n2} D^<n2>) = sum_J f1_{n1} V_{n1}[J] D^<J>,
+    V_{n1}[J] = sum_{j+n2=J} C(n1, j)_Q sigma^j(D^<n1-j>(f2_{n2})).
 
 The divided-power algebra of matching level is the predual: the pairing
 <D^<n>, w[k]> is 1 when n = k and 0 otherwise, extended A-bilinearly,
@@ -74,20 +78,23 @@ class TwistedDiffOp(SparseModule):
 
 
 def op_compose(d1, d2):
-    """Composition in normal form, by the twisted Leibniz formula."""
+    """Composition in normal form, by the twisted Leibniz formula grouped by J."""
     d1._check(d2)
     p, m = d1.p, d1.m
     k = p ** m
-    # (n1, j) -> C(n1, j)_Q f1, the left factor of each Leibniz term
-    scaled = {(n1, j): f1 if j in (0, n1) else f1 * q_binomial_pow(n1, j, k)
-              for n1, f1 in d1.terms.items() for j in range(n1 + 1)}
+    N = max(d1.terms, default=0)
+    rows = [(n2, taylor(f2, N, p, m).terms) for n2, f2 in d2.terms.items()]   # i -> D^<i>(f2)
     out = {}
-    for n2, f2 in d2.terms.items():
-        derivs = taylor(f2, max(d1.terms, default=0), p, m).terms   # i -> D^<i>(f2)
-        for (n1, j), h in scaled.items():
-            g = derivs.get(n1 - j)
-            if g is not None:
-                accumulate(out, j + n2, h * sigma_power(g, k * j))
+    for n1, f1 in d1.terms.items():
+        v = {}      # J -> V_{n1}[J]
+        for j in range(n1 + 1):
+            c = None if j in (0, n1) else LocScalar(q_binomial_pow(n1, j, k))
+            for n2, derivs in rows:
+                if n1 - j in derivs:
+                    g = sigma_power(derivs[n1 - j], k * j)
+                    accumulate(v, j + n2, g if c is None else g * c)
+        for J, g in v.items():
+            accumulate(out, J, f1 * g)
     return TwistedDiffOp(p, m, out)
 
 

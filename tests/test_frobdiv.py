@@ -13,7 +13,7 @@ from qtwist.frobdiv import (FrobCoeffTable, coeff_a, coeff_b, delta_dp, delta_it
                             symmetric_delta_xi, symmetric_phi_xi,
                             u_apply, u_closed_formula, u_consistency_check,
                             u_of_divided_power, u_of_twisted_power,
-                            v_basis_triangular)
+                            v_basis, v_basis_triangular)
 
 x = CoordPoly.x()
 
@@ -216,8 +216,13 @@ def test_v_basis_triangular_small():
     assert v_basis_triangular(9, 3) == []
 
 
+def v_basis_element(n, p):
+    """v_n, the last value of v_basis(n, p)."""
+    *_, v = v_basis(n, p)
+    return v
+
+
 def test_v_basis_element_values():
-    from qtwist.frobdiv import v_basis_element
     assert v_basis_element(0, 2) == DPElem.one(level_minus_one_ctx(2, cap=16))
     v3 = v_basis_element(3, 2)       # w * delta(w)
     assert max(v3.support()) == 3

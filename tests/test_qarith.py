@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtwist import qarith
-from qtwist.qarith import (DIVISION_CUTOFF, KRONECKER_CUTOFF, LocScalar, NotDivisibleError,
-                           ONE, QPoly, Q, _divexact, _divexact_packed, _divmod_int, _gcd,
-                           _gcd_cofactors, _scale,
+from qtwist.qarith import (DIVISION_CUTOFF, HORNER_TERMS, KRONECKER_CUTOFF, LocScalar,
+                           NotDivisibleError, ONE, QPoly, Q, _divexact, _divexact_packed,
+                           _divmod_int, _gcd_cofactors, _scale,
                            _kron_pack, _kron_unpack, _mul, _mul_kronecker, _mul_schoolbook,
                            _primitive, _pseudo_rem, _trim, cyclotomic,
                            divide_by_cyclotomic_product,
@@ -405,6 +405,10 @@ def test_kronecker_digits_at_the_extremes(w):
     digits = [top, -top, -top - 1, top, 0, -1, 1, -top, -top - 1, top]
     assert _kron_unpack(_kron_pack(digits, w), w, len(digits)) == digits
     assert _kron_unpack(_kron_pack([-top] * 30, w), w, 30) == [-top] * 30
+    # both packings, shifts up to HORNER_TERMS terms and bytes above, give sum a_i X^i
+    for n in range(HORNER_TERMS - 1, HORNER_TERMS + 3):
+        a = digits[:n]
+        assert _kron_pack(a, w) == sum(c << (8 * w * i) for i, c in enumerate(a))
 
 
 @pytest.mark.parametrize("bits", [1, 4, 60, 63, 64, 200])
@@ -563,13 +567,21 @@ def gcd_reference(a, b):
     return a
 
 
+def primitive_gcd(a, b):
+    """The gcd of ``_gcd_cofactors``, with the primitive part of the other
+    operand when one is zero."""
+    if not a or not b:
+        return _primitive(a or b)
+    return _gcd_cofactors(a, b)[0]
+
+
 @given(divisors(), divisors(), divisors())
 @settings(max_examples=200, deadline=None)
 def test_pseudo_rem_and_gcd_match_the_reference_loop(g, u, v):
     a, b = _mul_schoolbook(g, u), _mul_schoolbook(g, v)
     assert _pseudo_rem(a, b) == pseudo_rem_reference(a, b)
     assert _pseudo_rem(b, a) == pseudo_rem_reference(b, a)
-    assert _gcd(a, b) == gcd_reference(a, b) == _gcd(b, a)
+    assert primitive_gcd(a, b) == gcd_reference(a, b) == primitive_gcd(b, a)
 
 
 @st.composite

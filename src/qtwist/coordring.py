@@ -153,7 +153,7 @@ class DenseModule:
             c = self._scalar(other)
             if c is None:
                 return NotImplemented
-            return self._new(tuple(a * c for a in self.coeffs))
+            return self._new(tuple(a * c if a else a for a in self.coeffs))
         self._check_side(other)
         out = {}
         terms = [(j, b) for j, b in enumerate(other.coeffs) if not b.is_zero()]

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 
-from .qarith import (LocScalar, ONE, QPoly, is_decimal, q_binomial,
+from .qarith import (LocScalar, ONE, ONE_SCALAR, QPoly, is_decimal, q_binomial,
                      q_binomial_pow, q_factorial, q_int_pow)
 from .coordring import (CoordPoly, DenseModule, SIDE_A, SIDE_APRIME,
                         SideMismatchError, SparseModule, accumulate, pullback_map)
@@ -313,17 +313,19 @@ def blowup(e, z, target_ctx):
     parameters must satisfy y_src = z * y_tgt.
     """
     src = e.ctx
-    if not isinstance(z, CoordPoly):
-        z = CoordPoly(z, src.side)
+    z = CoordPoly(z, src.side)
     if z.degree > 0:
         raise ValueError("blow-up factor must be a scalar")
+    z = z.coeff(0)
     if (src.twist, src.side) != (target_ctx.twist, target_ctx.side):
         raise ValueError("blow-up requires matching twist variable and side")
-    if src.y_coordpoly() != z * target_ctx.y_coordpoly():
+    if z.num * target_ctx.y_scale() != z.den * src.y_scale():
         raise ValueError("blow-up factor does not relate the twist parameters")
-    out = {}
-    for n, c in e.terms.items():
-        out[n] = c * z ** n
+    out, zn, k = {}, ONE_SCALAR, 0
+    for n in sorted(e.terms):            # zn = z^n by one product per index
+        while k < n:
+            zn, k = zn * z, k + 1
+        out[n] = e.terms[n] * zn
     return DPElem(target_ctx, out)
 
 

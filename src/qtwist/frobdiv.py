@@ -16,15 +16,18 @@ Frobenius on the level -1 algebra itself sends index n to
 
     sum_{i=n..pn} (p)_q^i phi(b(n, i)) x^(pn-i) w[i]
 
-and the quotient (phi(e) - e^p)/p is an exact operation.  The top
-coefficient b(n, pn) equals the double product of (kp - j)_q over
-1 <= k <= n, 1 <= j <= p-1, a unit.
+and the quotient (phi(e) - e^p)/p is an exact operation.  phi_dp is
+blowup o phi_std: phi_std has these rows without the (p)_q^i, in the
+standard algebra at twist q^p (y = (1 - q^p) x), and the blow-up by (p)_q,
+an injective ring map, restores them.  The top coefficient b(n, pn) equals
+the double product of (kp - j)_q over 1 <= k <= n, 1 <= j <= p-1, a unit.
 
 b(n, i) is computed without any generic gcd: the q-factorial quotient is
-a Counter of cyclotomic exponents, whose positive part multiplies a(n, i)
-and whose negative part is cancelled against it by exact trial division
-(cyclotomics are irreducible over Q, so whatever fails to divide is
-exactly the reduced denominator).
+a Counter of cyclotomic exponents.  a(n, i) is divided by the product of
+its negative part, at once or else copy by copy (cyclotomics are
+irreducible over Q, so what fails to divide is exactly the reduced
+denominator), and only then multiplied by the product of its positive
+part, which shares no cyclotomic with it.
 
 The diagonal map u: xi -> x2 - x1 into A tensor_{A'} A sends the level 0
 twisted power prod_{i<n} (xi + (i)_q (1 - q) x) to the q-Pochhammer
@@ -37,14 +40,14 @@ from collections import Counter
 from functools import lru_cache
 from math import prod
 
-from .qarith import (LocScalar, ONE, QPoly, cyclotomic,
+from .qarith import (LocScalar, NotDivisibleError, ONE, QPoly, cyclotomic,
                      divide_by_cyclotomic_product, divide_exact, is_unit,
                      q_binomial, q_binomial_pow, q_factorial,
                      q_factorial_cyclotomic_exponents, q_int)
 from .coordring import (BiCoordPoly, CoordPoly, SIDE_A, SIDE_APRIME, phi_abs,
                         rel_frobenius, tensor_embed_left)
 from .divpow import (DEFAULT_DEGREE_CAP, DPContext, DPElem, XiPoly, Y_LEVEL,
-                     blowup, frobenius_base_change)
+                     Y_STANDARD, blowup, frobenius_base_change)
 
 
 class MembershipError(ArithmeticError):
@@ -78,9 +81,13 @@ def coeff_b(n, i, p):
         raise ValueError(f"coeff_b out of range: n={n}, i={i}, p={p}")
     top = q_factorial_cyclotomic_exponents(i)
     bottom = q_factorial_cyclotomic_exponents(n, p) + Counter({p: n})
-    num = coeff_a(n, i, p) * prod(
-        (cyclotomic(d) ** e for d, e in (top - bottom).items()), start=ONE)
-    b = divide_by_cyclotomic_product(LocScalar(num), bottom - top)
+    num, den = (prod((cyclotomic(d) ** e for d, e in f.items()), start=ONE)
+                for f in (top - bottom, bottom - top))
+    try:                # num and den share no cyclotomic: den | a num iff den | a
+        b = LocScalar(coeff_a(n, i, p).divexact(den))
+    except NotDivisibleError:
+        b = divide_by_cyclotomic_product(LocScalar(coeff_a(n, i, p)), bottom - top)
+    b = LocScalar._from_pair((b.num * num).coeffs, b.den.coeffs)
     if not b.in_localization(p):
         raise MembershipError(
             f"b({n},{i}) has non-unit denominator {b.den} at p={p}")
@@ -89,11 +96,8 @@ def coeff_b(n, i, p):
 
 def leading_coeff_product(n, p):
     """The closed product form of b(n, pn): prod (kp - j)_q, a unit."""
-    out = ONE
-    for k in range(1, n + 1):
-        for j in range(1, p):
-            out = out * q_int(k * p - j)
-    return LocScalar(out)
+    return LocScalar(prod((q_int(k * p - j) for k in range(1, n + 1) for j in range(1, p)),
+                          start=ONE))
 
 
 class FrobCoeffTable:
@@ -176,14 +180,18 @@ def divided_frobenius(e):
     return _b_row_image(e, level_zero_ctx(ctx.p, cap=ctx.cap), rel_frobenius, coeff_b)
 
 
-def phi_dp(e):
-    """Frobenius lift on the level -1 algebra (same algebra, semilinear)."""
+def phi_std(e):
+    """Index n to sum_{i=n..pn} phi(b(n,i)) x^(pn-i) xi^[i], standard at twist q^p."""
     ctx = e.ctx
     if ctx != level_minus_one_ctx(ctx.p, ctx.side, ctx.cap):
-        raise ValueError("phi_dp expects a level -1 context")
-    pq = q_int(ctx.p)
-    return _b_row_image(e, ctx, phi_abs,
-                        lambda n, i, p: coeff_b(n, i, p).subs_qpow(p) * pq ** i)
+        raise ValueError("the Frobenius lift expects a level -1 context")
+    std = DPContext(ctx.p, 1, Y_STANDARD, ctx.side, 1, ctx.cap)
+    return _b_row_image(e, std, phi_abs, lambda n, i, p: coeff_b(n, i, p).subs_qpow(p))
+
+
+def phi_dp(e):
+    """Frobenius lift on the level -1 algebra (same algebra, semilinear)."""
+    return blowup(phi_std(e), q_int(e.ctx.p), e.ctx)
 
 
 def delta_dp(e):

@@ -132,31 +132,29 @@ def _digit_bytes(bits):
 def _kron_pack(a, w):
     """The integer sum of a[i] * 256^(w*i); needs -256^w / 2 <= a[i] < 256^w / 2.
 
-    Short operands pack by shifts; in the bytes of longer ones, flipping the
-    top bit of each two's-complement digit adds 256^w / 2 to it, and that
-    offset is then subtracted once."""
+    Short operands pack by shifts; longer ones as the bytes of a[i] + 256^w / 2
+    (an array item flips its top bit, a wider digit is unsigned), less that offset."""
     if len(a) <= HORNER_TERMS:
         x, s = 0, 8 * w
         for c in reversed(a):
             x = (x << s) + c
         return x
-    if w in _ITEM_CODES:
-        s = array(_ITEM_CODES[w], a).tobytes()
-    else:
-        s = b"".join([c.to_bytes(w, "little", signed=True) for c in a])
     o = int.from_bytes((bytes(w - 1) + b"\x80") * len(a), "little")
-    return (int.from_bytes(s, "little") ^ o) - o
+    if w in _ITEM_CODES:
+        return (int.from_bytes(array(_ITEM_CODES[w], a).tobytes(), "little") ^ o) - o
+    h = 1 << (8 * w - 1)
+    return int.from_bytes(b"".join([(c + h).to_bytes(w, "little") for c in a]), "little") - o
 
 
 def _kron_unpack(x, w, m):
     """The m signed base-256^w digits of x, each in [-256^w / 2, 256^w / 2),
     or OverflowError.  Adding 256^w / 2 to every digit makes the bytes
-    carry-free; flipping each top bit back gives two's complement."""
+    carry-free; array items flip each top bit back, wider digits subtract it."""
     o = int.from_bytes((bytes(w - 1) + b"\x80") * m, "little")
-    s = ((x + o) ^ o).to_bytes(w * m, "little")
     if w in _ITEM_CODES:
-        return array(_ITEM_CODES[w], s).tolist()
-    return [int.from_bytes(s[i:i + w], "little", signed=True) for i in range(0, w * m, w)]
+        return array(_ITEM_CODES[w], ((x + o) ^ o).to_bytes(w * m, "little")).tolist()
+    s, h = (x + o).to_bytes(w * m, "little"), 1 << (8 * w - 1)
+    return [int.from_bytes(s[i:i + w], "little") - h for i in range(0, w * m, w)]
 
 
 def _mul_kronecker(a, b):

@@ -402,13 +402,19 @@ def check_frobenius_lift_example(cfg, rng):
 
 @check("frobdiv.phi-multiplicative", "the level -1 Frobenius lift is a ring map")
 def check_phi_dp_multiplicative(cfg, rng):
-    cap = cfg.pair_cap
-    ctx = fd.level_minus_one_ctx(cfg.p, cap=max(cfg.p * cap, DEFAULT_DEGREE_CAP))
+    # phi_dp = blowup o phi_std, checked first; the blow-up is an injective ring map
+    p, cap = cfg.p, cfg.pair_cap
+    ctx = fd.level_minus_one_ctx(p, cap=max(p * cap, DEFAULT_DEGREE_CAP))
+    for n in range(cap + 1):
+        row = {i: CoordPoly.monomial(fd.coeff_b(n, i, p).subs_qpow(p) * q_int(p) ** i, p * n - i)
+               for i in range(n, p * n + 1)}
+        yield (f"lift disagrees with the (p)_q^i b-row at n={n}",
+               fd.phi_dp(DPElem.basis(ctx, n)), DPElem(ctx, row))
     for n1 in range(cap + 1):
         for n2 in range(cap + 1 - n1):
             a, b = DPElem.basis(ctx, n1), DPElem.basis(ctx, n2)
             yield (f"lift not multiplicative at ({n1},{n2})",
-                   fd.phi_dp(a * b), fd.phi_dp(a) * fd.phi_dp(b))
+                   fd.phi_std(a * b), fd.phi_std(a) * fd.phi_std(b))
     return True, f"basis pairs with n1+n2 <= {cap}"
 
 

@@ -1,8 +1,9 @@
 import itertools
+import random
 
 import pytest
 
-from qtwist.qarith import QPoly, Q, q_factorial, q_int
+from qtwist.qarith import QPoly, Q, q_factorial, q_int, random_locscalar
 from qtwist.coordring import CoordPoly, SIDE_A, SIDE_APRIME
 from qtwist.divpow import (DegreeCapError, DPContext, DPElem, XiPoly, Y_LEVEL,
                            Y_STANDARD, _struct_consts_oracle, blowup,
@@ -115,6 +116,18 @@ def test_blowup_examples(p, m):
     assert b2 == DPElem.basis(tgt, 2, CoordPoly(q_int(p ** m) ** 2))
     a, b = DPElem.basis(src, 1), DPElem.basis(src, 1)
     assert blowup(a * b, z, tgt) == blowup(a, z, tgt) * blowup(b, z, tgt)
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2)])
+def test_blowup_matches_the_power_definition(p, m):
+    # index n picks up z^n; supports with gaps, index 0 and fractional coefficients
+    src, tgt = DPContext(p, m, Y_STANDARD), DPContext(p, m, Y_LEVEL)
+    z = CoordPoly(q_int(p ** m))
+    rng = random.Random(10 * p + m)
+    for _ in range(6):
+        e = DPElem(src, {n: CoordPoly([random_locscalar(rng, p) for _ in range(rng.randint(1, 3))])
+                         for n in rng.sample(range(17), rng.randint(0, 6))})
+        assert blowup(e, z, tgt) == DPElem(tgt, {n: c * z ** n for n, c in e.terms.items()})
 
 
 def test_blowup_rejects_mismatched_parameters():

@@ -1,15 +1,22 @@
+import random
+from collections import Counter
+from math import prod
+
 import pytest
 
-from qtwist.qarith import (LocScalar, ONE, QPoly, Q, is_unit,
-                           q_factorial, q_int)
-from qtwist.coordring import (BiCoordPoly, CoordPoly, SIDE_A, SIDE_APRIME,
+from qtwist import frobdiv
+from qtwist.qarith import (LocScalar, ONE, QPoly, Q, cyclotomic,
+                           divide_by_cyclotomic_product, is_unit, q_factorial,
+                           q_factorial_cyclotomic_exponents, q_int, random_locscalar)
+from qtwist.coordring import (BiCoordPoly, CoordPoly, SIDE_A, SIDE_APRIME, phi_abs,
                               tensor_diagonal_generator, tensor_embed_left)
-from qtwist.divpow import (DPContext, DPElem, XiPoly, to_twisted_basis,
+from qtwist.divpow import (DPContext, DPElem, XiPoly, Y_STANDARD, to_twisted_basis,
                            twisted_power_expand)
-from qtwist.frobdiv import (FrobCoeffTable, coeff_a, coeff_b, delta_dp, delta_iterates,
+from qtwist.frobdiv import (FrobCoeffTable, MembershipError, coeff_a, coeff_b,
+                            delta_dp, delta_iterates,
                             divided_frobenius, envelope_basis_check,
                             leading_coeff_product, level_minus_one_ctx,
-                            level_zero_ctx, phi_dp, phi_level_zero,
+                            level_zero_ctx, phi_dp, phi_level_zero, phi_std,
                             symmetric_delta_xi, symmetric_phi_xi,
                             u_apply, u_closed_formula, u_consistency_check,
                             u_of_divided_power, u_of_twisted_power,
@@ -57,6 +64,63 @@ def test_coeff_b_matches_field_oracle(p):
             oracle = LocScalar(q_factorial(i) * coeff_a(n, i, p), den)
             got = coeff_b(n, i, p)
             assert (got.num, got.den) == (oracle.num, oracle.den)
+
+
+def b_cyclotomics(n, i, p):
+    """The cyclotomic exponents of b(n, i) / a(n, i): (numerator, denominator)."""
+    top = q_factorial_cyclotomic_exponents(i)
+    bottom = q_factorial_cyclotomic_exponents(n, p) + Counter({p: n})
+    return top - bottom, bottom - top
+
+
+def coeff_b_reference(a, n, i, p):
+    """a * P / N by multiplying first and then cancelling N copy by copy."""
+    up, down = b_cyclotomics(n, i, p)
+    num = a * prod((cyclotomic(d) ** e for d, e in up.items()), start=ONE)
+    return divide_by_cyclotomic_product(LocScalar(num), down)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_coeff_b_matches_the_multiply_first_pipeline(p):
+    for n in range(9):
+        for i in range(n, p * n + 1):
+            got = coeff_b(n, i, p)
+            ref = coeff_b_reference(coeff_a(n, i, p), n, i, p)
+            assert (got.num, got.den) == (ref.num, ref.den), (n, i)
+            assert got.den == ONE           # so the one-shot division decides here
+
+
+def _plus_one(a, n, i, p):
+    return a + 1
+
+
+def _one_cyclotomic_short(a, n, i, p):
+    """a over one denominator cyclotomic whose index is no power of p (a
+    unit at (p, q-1)), so that b keeps it as its denominator."""
+    ds = [d for d in b_cyclotomics(n, i, p)[1] if p ** (d.bit_length()) % d]
+    return a.divexact(cyclotomic(max(ds))) if ds else a
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("perturb", [_plus_one, _one_cyclotomic_short])
+def test_coeff_b_falls_back_when_the_denominator_does_not_divide(p, perturb, monkeypatch):
+    monkeypatch.setattr(frobdiv, "coeff_a", lambda n, i, p: perturb(coeff_a(n, i, p), n, i, p))
+    coeff_b.cache_clear()
+    kept = 0
+    try:
+        for n in range(6):
+            for i in range(n, p * n + 1):
+                ref = coeff_b_reference(perturb(coeff_a(n, i, p), n, i, p), n, i, p)
+                if not ref.in_localization(p):
+                    with pytest.raises(MembershipError):
+                        coeff_b(n, i, p)
+                    continue
+                got = coeff_b(n, i, p)
+                assert (got.num, got.den) == (ref.num, ref.den), (n, i)
+                kept += got.den != ONE
+    finally:
+        coeff_b.cache_clear()
+    assert kept or perturb is _plus_one      # the fallback ran and left a denominator
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -142,6 +206,33 @@ def test_delta_dp_examples():
     assert delta_dp(DPElem.basis(ctx, 0, CoordPoly(Q))).is_zero()
     d = delta_dp(DPElem.basis(ctx, 1))
     assert d == DPElem(ctx, {1: x, 2: CoordPoly(Q)})
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_phi_dp_is_the_blow_up_of_the_standard_image(p):
+    # phi_dp(sum g_n w[n]) = sum phi(g_n) sum_i (p)_q^i phi(b(n, i)) x^(pn-i) w[i]
+    ctx = level_minus_one_ctx(p, cap=6 * p)
+    rng = random.Random(p)
+    pq = q_int(p)
+
+    def b_row(n):
+        return DPElem(ctx, {i: CoordPoly.monomial(coeff_b(n, i, p).subs_qpow(p) * pq ** i,
+                                                  p * n - i)
+                            for i in range(n, p * n + 1)})
+
+    for n in range(7):
+        assert phi_dp(DPElem.basis(ctx, n)) == b_row(n), n
+    g = {n: CoordPoly([random_locscalar(rng, p, 1) for _ in range(2)]) for n in (0, 2, 3)}
+    e = DPElem(ctx, g)
+    assert phi_dp(e) == sum((b_row(n) * phi_abs(c, p) for n, c in e.terms.items()),
+                            DPElem(ctx, {}))
+    assert phi_std(e).ctx == DPContext(p, 1, Y_STANDARD, SIDE_A, 1, 6 * p)
+
+
+def test_phi_std_rejects_other_contexts():
+    for fn in (phi_std, phi_dp):
+        with pytest.raises(ValueError, match="level -1"):
+            fn(DPElem.basis(level_zero_ctx(2), 1))
 
 
 @pytest.mark.parametrize("p", [2, 3])

@@ -16,14 +16,17 @@ must be divisible by x^(p-1) with quotient inside the image of the
 relative Frobenius, i.e. supported on x-exponents divisible by p.
 
 Truncation works modulo (p, q-1)^N: the quotient ring is realized as
-Z[t]/(p, t)^N with t = q - 1, a finite local ring whose elements are
-tuples (c_0 mod p^N, ..., c_(N-1) mod p).  A coefficient num/den of the
-localization vanishes there exactly when its numerator does, because
-its denominator is a unit modulo (p, t); ``coordpoly_vanishes`` reduces
-numerators only.  Quasi-nilpotence iterates the derivation on basis
-vectors until it vanishes in the quotient; the truncated
-horizontal-section probe enumerates the whole finite module once and
-keeps a greedy generating set of the kernel.
+R = Z[t]/(p, t)^N with t = q - 1, a finite local ring.  An element of R
+is its canonical tuple of ints (c_0, ..., c_(N-1)) with c_b in
+range(p^(N-b)); ``ring_elements``, ``ring_reduce``, ``ring_mul`` and
+``ring_lift`` are its whole arithmetic, and a vector over R is a tuple
+of such tuples.  A coefficient num/den of the localization vanishes in
+R exactly when its numerator does, because its denominator is a unit
+modulo (p, t); ``coordpoly_vanishes`` reduces numerators only.
+Quasi-nilpotence iterates the derivation on basis vectors until it
+vanishes in the quotient; the truncated horizontal-section probe
+enumerates the whole finite module once and keeps a greedy generating
+set of the kernel.
 """
 
 from __future__ import annotations
@@ -40,61 +43,33 @@ class ResourceCapError(RuntimeError):
     """A truncated enumeration would exceed the configured size cap."""
 
 
-class RBar:
-    """Element of Z[t]/(p, t)^N: coefficient b of t^b lives mod p^(N-b)."""
+def ring_elements(p, N):
+    """Every element of R = Z[t]/(p, t)^N, in lexicographic order."""
+    return itertools.product(*(range(p ** (N - b)) for b in range(N)))
 
-    __slots__ = ("p", "N", "value")
 
-    def __init__(self, p, N, value=()):
-        self.p = p
-        self.N = N
-        vals = list(value) + [0] * (N - len(value))
-        self.value = tuple(vals[b] % p ** (N - b) for b in range(N))
+def ring_reduce(coeffs, p, N):
+    """The element sum coeffs[b] t^b of R; terms past t^(N-1) are dropped."""
+    coeffs = tuple(coeffs[:N]) + (0,) * (N - len(coeffs))
+    return tuple(c % p ** (N - b) for b, c in enumerate(coeffs))
 
-    def is_zero(self):
-        return all(c == 0 for c in self.value)
 
-    def __eq__(self, other):
-        return (isinstance(other, RBar)
-                and (self.p, self.N, self.value) == (other.p, other.N, other.value))
+def ring_mul(a, b, p, N):
+    """Product of two elements of R, reduced once."""
+    out = [0] * N
+    for i, x in enumerate(a):
+        if x:
+            for j in range(N - i):
+                out[i + j] += x * b[j]
+    return ring_reduce(out, p, N)
 
-    def __hash__(self):
-        return hash((self.p, self.N, self.value))
 
-    def __add__(self, other):
-        return RBar(self.p, self.N,
-                    tuple(a + b for a, b in zip(self.value, other.value)))
-
-    def __mul__(self, other):
-        out = [0] * self.N
-        for i, a in enumerate(self.value):
-            if not a:
-                continue
-            for j, b in enumerate(other.value):
-                if i + j < self.N:
-                    out[i + j] += a * b
-        return RBar(self.p, self.N, out)
-
-    def lift(self):
-        """A canonical integer-polynomial representative in q."""
-        out = QPoly()
-        t = QPoly([-1, 1])
-        for b, c in enumerate(self.value):
-            out = out + t ** b * c
-        return out
-
-    @classmethod
-    def all_elements(cls, p, N):
-        ranges = [range(p ** (N - b)) for b in range(N)]
-        for tup in itertools.product(*ranges):
-            yield cls(p, N, tup)
-
-    @classmethod
-    def size(cls, p, N):
-        return p ** (N * (N + 1) // 2)
-
-    def __repr__(self):
-        return f"RBar(p={self.p}, N={self.N}, {list(self.value)})"
+def ring_lift(c):
+    """The element c of R as the LocScalar sum c_b (q - 1)^b."""
+    out = QPoly()
+    for x in reversed(c):
+        out = out * QPoly([-1, 1]) + x
+    return LocScalar(out)
 
 
 def coordpoly_vanishes(f, p, N):
@@ -107,7 +82,7 @@ def coordpoly_vanishes(f, p, N):
         if not c.in_localization(p):
             raise ZeroDivisionError(
                 f"coefficient {c} is outside the localization at p = {p}")
-    return all(RBar(p, N, c.num.to_q_minus_one()).is_zero() for c in f.coeffs)
+    return not any(any(ring_reduce(c.num.to_q_minus_one(), p, N)) for c in f.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -252,38 +227,40 @@ def h0_truncated(module, N, d, cap=10 ** 6):
     if module.rank == 0:
         return []
     slots = module.rank * (d + 1)
-    ring_size = RBar.size(p, N)
+    ring_size = p ** (N * (N + 1) // 2)
     if ring_size ** slots > cap:
         raise ResourceCapError(
             f"module size {ring_size}^{slots} exceeds cap {cap}")
-    ring = list(RBar.all_elements(p, N))
-    lifted = [(c, LocScalar(c.lift())) for c in ring]
+    lifted = [(c, ring_lift(c)) for c in ring_elements(p, N)]
     kernel = []
     for combo in itertools.product(lifted, repeat=slots):
         vec = [CoordPoly([z for _, z in combo[j * (d + 1):(j + 1) * (d + 1)]],
                          module.side) for j in range(module.rank)]
         if all(coordpoly_vanishes(v, p, N) for v in theta_apply(module, vec)):
             kernel.append(tuple(c for c, _ in combo))
-    return _generating_set(kernel, ring, (RBar(p, N),) * slots)
+    return _generating_set(kernel, p, N, ((0,) * N,) * slots)
 
 
-def span(gens, ring, base):
+def span(gens, p, N, base):
     """Every b + s_1 g_1 + ... + s_k g_k with b in the set ``base`` and
-    each s_i in ``ring``, as a set of tuples."""
+    each s_i in R = Z[t]/(p, t)^N, as a set of vectors over R."""
+    ring = list(ring_elements(p, N))
     for g in gens:
-        base = {tuple(b + s * c for b, c in zip(v, g)) for v in base for s in ring}
+        multiples = {tuple(ring_mul(s, c, p, N) for c in g) for s in ring}
+        base = {tuple(ring_reduce([a + b for a, b in zip(x, y)], p, N)
+                      for x, y in zip(v, w)) for v in base for w in multiples}
     return base
 
 
-def _generating_set(kernel, ring, zero):
+def _generating_set(kernel, p, N, zero):
     """Greedy minimal generating set of a finite module given as a list."""
     spanned = {zero}
     gens = []
-    for v in sorted(kernel, key=lambda t: sum(sum(c.value) for c in t)):
+    for v in sorted(kernel, key=lambda t: sum(map(sum, t))):
         if v in spanned:
             continue
         gens.append(v)
-        spanned = span([v], ring, spanned)
+        spanned = span([v], p, N, spanned)
         if len(spanned) == len(kernel):
             break
     return gens

@@ -44,8 +44,8 @@ from .qarith import (LocScalar, NotDivisibleError, ONE, QPoly, cyclotomic,
                      divide_by_cyclotomic_product, divide_exact, is_unit,
                      q_binomial, q_binomial_pow, q_factorial,
                      q_factorial_cyclotomic_exponents, q_int)
-from .coordring import (BiCoordPoly, CoordPoly, SIDE_A, SIDE_APRIME, phi_abs,
-                        rel_frobenius, tensor_embed_left)
+from .coordring import (BiCoordPoly, CoordPoly, SIDE_A, SIDE_APRIME, accumulate,
+                        phi_abs, rel_frobenius, tensor_embed_left)
 from .divpow import (DEFAULT_DEGREE_CAP, DPContext, DPElem, XiPoly, Y_LEVEL,
                      Y_STANDARD, blowup, frobenius_base_change)
 
@@ -159,13 +159,14 @@ def level_zero_ctx(p, side=SIDE_A, cap=DEFAULT_DEGREE_CAP):
 def _b_row_image(e, out_ctx, lift, row):
     """sum_n lift(g_n, p) sum_{i=n..pn} row(n, i, p) x^(pn-i) e[i], e = sum_n g_n w[n]."""
     p = out_ctx.p
-    out = DPElem(out_ctx, {})
+    out = {}
     for n, g in e.terms.items():
-        img = DPElem(out_ctx,
-                     {i: CoordPoly.monomial(row(n, i, p), p * n - i, out_ctx.side)
-                      for i in range(n, p * n + 1)})
-        out = out + img * lift(g, p)
-    return out
+        c = lift(g, p)
+        for i in range(n, p * n + 1):
+            accumulate(out, i, CoordPoly.monomial(row(n, i, p), p * n - i, out_ctx.side) * c)
+            if out[i].is_zero():        # dropped as a DPElem sum drops it: same key order
+                del out[i]
+    return DPElem(out_ctx, out)
 
 
 def divided_frobenius(e):

@@ -796,8 +796,7 @@ def check_h0_bruteforce(cfg, rng):
     except cn.ResourceCapError as e:
         return None, str(e)
     count = _trivial_kernel_size(p, cfg.m, N, d)
-    ring = list(cn.RBar.all_elements(p, N))
-    span = len(cn.span(gens, ring, {(cn.RBar(p, N),) * (d + 1)}))
+    span = len(cn.span(gens, p, N, {(cn.ring_reduce((), p, N),) * (d + 1)}))
     yield f"generators span {span} of {count} kernel elements", span, count
     yield ("zero module has nonempty kernel basis",
            cn.h0_truncated(cn.ConnModule.trivial(p, cfg.m, SIDE_A, 0), N, d), [])
@@ -811,12 +810,12 @@ def _trivial_kernel_size(p, m, N, d):
     theta(sum c_n x^n) = sum a_n c_n x^(n-1) with a_n = (p^m)_q (n)_(q^(p^m)),
     so c_0 is free and c_n ranges over the annihilator of a_n in R.
     """
-    ring = list(cn.RBar.all_elements(p, N))
+    ring = list(cn.ring_elements(p, N))
     size = len(ring)
     k = p ** m
     for n in range(1, d + 1):
-        a = cn.RBar(p, N, (q_int(k) * q_int(n).stretch(k)).to_q_minus_one())
-        size *= sum(1 for c in ring if (a * c).is_zero())
+        a = cn.ring_reduce((q_int(k) * q_int(n).stretch(k)).to_q_minus_one(), p, N)
+        size *= sum(1 for c in ring if not any(cn.ring_mul(a, c, p, N)))
     return size
 
 

@@ -7,9 +7,10 @@ from qtwist.qarith import LocScalar, QPoly, q_int, random_locscalar
 from qtwist.coordring import (CoordPoly, SIDE_A, SIDE_APRIME, SideMismatchError,
                               q_derivative, sigma_power)
 from qtwist import connect
-from qtwist.connect import (ConnModule, RBar, ResourceCapError, commute_check,
+from qtwist.connect import (ConnModule, ResourceCapError, commute_check,
                             coordpoly_vanishes, descent_solve, h0_truncated,
-                            level_raise, quasi_nilpotence_check, theta_apply)
+                            level_raise, quasi_nilpotence_check, ring_elements,
+                            ring_lift, ring_mul, ring_reduce, theta_apply)
 from qtwist.verify import VerifyConfig, _trivial_kernel_size, check_h0_bruteforce
 
 x = CoordPoly.x()
@@ -24,44 +25,72 @@ def rand_poly(rng, p, side=SIDE_A, deg=2):
 # the truncated scalar ring
 # ---------------------------------------------------------------------------
 
-def _inverse(u):
+def _inverse(u, p, N):
     """Inverse of a unit of Z[t]/(p, t)^N, solving u w = 1 degree by degree."""
-    p, N = u.p, u.N
-    if u.value[0] % p == 0:
+    if u[0] % p == 0:
         raise ZeroDivisionError("not a unit in the truncated ring")
-    w = [pow(u.value[0], -1, p ** N)]
+    w = [pow(u[0], -1, p ** N)]
     for b in range(1, N):
-        acc = sum(u.value[j] * w[b - j] for j in range(1, b + 1))
+        acc = sum(u[j] * w[b - j] for j in range(1, b + 1))
         w.append(-w[0] * acc)
-    return RBar(p, N, w)
+    return ring_reduce(w, p, N)
 
 
 def _reduce(z, p, N):
     """Reference reduction of a localized scalar: numerator times the
     inverse of the denominator, both reduced modulo (p, t)^N."""
-    num = RBar(p, N, z.num.to_q_minus_one())
-    return num * _inverse(RBar(p, N, z.den.to_q_minus_one()))
+    num = ring_reduce(z.num.to_q_minus_one(), p, N)
+    return ring_mul(num, _inverse(ring_reduce(z.den.to_q_minus_one(), p, N), p, N), p, N)
+
+
+def _qpoly_product(a, b, p, N):
+    """The product of two elements of R by QPoly arithmetic on their lifts."""
+    return ring_reduce((ring_lift(a).num * ring_lift(b).num).to_q_minus_one(), p, N)
+
+
+@pytest.mark.parametrize("p,N", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_ring_product_matches_qpoly_on_every_pair(p, N):
+    ring = list(ring_elements(p, N))
+    for a, b in itertools.product(ring, repeat=2):
+        assert ring_mul(a, b, p, N) == _qpoly_product(a, b, p, N)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_ring_product_matches_qpoly_on_random_pairs(p, N):
+    rng = random.Random(10 * p + N)
+    for _ in range(200):
+        a, b = (tuple(rng.randrange(p ** (N - i)) for i in range(N)) for _ in range(2))
+        assert ring_mul(a, b, p, N) == _qpoly_product(a, b, p, N)
+
+
+@pytest.mark.parametrize("p,N", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 2), (7, 2)])
+def test_ring_reduce_inverts_lift_and_counts_the_ring(p, N):
+    ring = list(ring_elements(p, N))
+    assert len(ring) == len(set(ring)) == p ** (N * (N + 1) // 2)
+    for c in ring:
+        assert ring_reduce(ring_lift(c).num.to_q_minus_one(), p, N) == c
 
 
 def test_rbar_reduction():
     r = _reduce(LocScalar(q_int(2)), 2, 2)              # 1 + q = 2 + t
-    assert r.value == (2, 1)
-    assert _reduce(LocScalar(QPoly([4])), 2, 2).value == (0, 0)
+    assert r == (2, 1)
+    assert _reduce(LocScalar(QPoly([4])), 2, 2) == (0, 0)
 
 
 def test_rbar_inverse():
     z = _reduce(LocScalar(QPoly([2, 1])), 2, 3)         # 2 + q = 3 + t
-    assert (z * _inverse(z)).value == (1, 0, 0)
+    assert ring_mul(z, _inverse(z, 2, 3), 2, 3) == (1, 0, 0)
     with pytest.raises(ZeroDivisionError):
-        _inverse(RBar(2, 2, (2, 0)))
+        _inverse((2, 0), 2, 2)
 
 
 def test_rbar_unit_denominator():
     z = LocScalar(QPoly([1, 1]), QPoly([3]))      # (1+q)/3 at p = 2
     r = _reduce(z, 2, 2)
-    three = RBar(2, 2, (3,))
+    three = ring_reduce((3,), 2, 2)
     expect = _reduce(LocScalar(QPoly([1, 1])), 2, 2)
-    assert r * three == expect
+    assert ring_mul(r, three, 2, 2) == expect
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -75,9 +104,9 @@ def test_vanishing_agrees_with_the_reduction_of_the_fraction(p):
             for i in range(N + 1):          # p^i t^(N-i) z lies in (p, t)^N
                 w = z * p ** i * t ** (N - i)
                 assert coordpoly_vanishes(CoordPoly([w, w * z]), p, N)
-                assert _reduce(w, p, N).is_zero()
+                assert not any(_reduce(w, p, N))
             vanishes = coordpoly_vanishes(CoordPoly(z), p, N)
-            assert vanishes == _reduce(z, p, N).is_zero()
+            assert vanishes == (not any(_reduce(z, p, N)))
             seen.add(vanishes)
         assert seen == {True, False}
     outside = LocScalar(1, QPoly([p]))            # 1/p
@@ -88,9 +117,9 @@ def test_vanishing_agrees_with_the_reduction_of_the_fraction(p):
 
 
 def test_rbar_size_and_enumeration():
-    assert RBar.size(2, 2) == 8
-    assert len(list(RBar.all_elements(2, 2))) == 8
-    assert RBar.size(3, 1) == 3
+    assert len(list(ring_elements(2, 2))) == 8
+    assert list(ring_elements(2, 2))[:3] == [(0, 0), (0, 1), (1, 0)]
+    assert len(list(ring_elements(3, 1))) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +265,7 @@ def test_h0_trivial_full_kernel():
 def _brute_force_kernel_size(p, m, N, d):
     """Kernel size of theta on the trivial rank-1 module, by enumeration."""
     mod = ConnModule.trivial(p, m, SIDE_A, 1)
-    ring = [LocScalar(c.lift()) for c in RBar.all_elements(p, N)]
+    ring = [ring_lift(c) for c in ring_elements(p, N)]
     return sum(coordpoly_vanishes(theta_apply(mod, [CoordPoly(list(cs))])[0], p, N)
                for cs in itertools.product(ring, repeat=d + 1))
 
@@ -246,7 +275,7 @@ def test_h0_bruteforce_n2():
     gens = h0_truncated(mod, 2, 1)
     # independent enumeration: kernel = {a + bx : 2 | b's constant term}
     assert _brute_force_kernel_size(2, 1, 2, 1) == 32
-    assert len(connect.span(gens, list(RBar.all_elements(2, 2)), {(RBar(2, 2),) * 2})) == 32
+    assert len(connect.span(gens, 2, 2, {((0, 0),) * 2})) == 32
 
 
 @pytest.mark.parametrize("p,m,N,d", [(2, 1, 2, 1), (2, 2, 3, 1), (2, 0, 2, 2), (3, 1, 2, 1)])

@@ -355,8 +355,9 @@ def q_derivative(f, k=1):
 
 
 def level_derivative(f, k):
-    """(k)_q times the q^k-derivative: the action of D^<1> at level -m, k = p^m."""
-    return q_derivative(f, k) * LocScalar(q_int(k))
+    """(k)_q times the q^k-derivative: the action of D^<1> at level -m, k = p^m;
+    x^d -> (dk)_q x^(d-1), one product per term, since (d)_{q^k} (k)_q = (dk)_q."""
+    return CoordPoly(tuple(c * q_int(d * k) for d, c in enumerate(f.coeffs) if d), f.side)
 
 
 def rel_frobenius(f, p):

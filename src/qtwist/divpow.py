@@ -26,8 +26,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 
-from .qarith import (LocScalar, ONE, ONE_SCALAR, QPoly, is_decimal, q_binomial,
-                     q_binomial_pow, q_factorial, q_int_pow)
+from .qarith import (LocScalar, ONE, ONE_SCALAR, QPoly, ZERO_SCALAR, is_decimal,
+                     q_binomial, q_binomial_pow, q_factorial, q_int_pow)
 from .coordring import (CoordPoly, DenseModule, SIDE_A, SIDE_APRIME,
                         SideMismatchError, SparseModule, accumulate, pullback_map)
 
@@ -295,13 +295,14 @@ class DPElem(SparseModule):
 def dp_mul(u, v):
     """Product in the divided-power algebra, bilinear over the basis rule."""
     u._check(v)
-    ctx = u.ctx
+    ctx, c = u.ctx, -u.ctx.y_scale()
     out = {}
     for n1, c1 in u.terms.items():
         for n2, c2 in v.terms.items():
             c12 = c1 * c2
-            for n, s in dp_structure_terms(ctx, n1, n2):
-                accumulate(out, n, c12 * s)
+            for i, g in _struct_consts_closed(n1, n2, ctx.twist):   # c12 g c^i x^i
+                term = (ZERO_SCALAR,) * i + (c12 * (g * c ** i)).coeffs
+                accumulate(out, n1 + n2 - i, CoordPoly(term, ctx.side))
     return DPElem(ctx, out)
 
 

@@ -23,15 +23,19 @@ an injective ring map, restores them.  The top coefficient b(n, pn) equals
 the double product of (kp - j)_q over 1 <= k <= n, 1 <= j <= p-1, a unit.
 
 b(n, i) is computed without any generic gcd: the q-factorial quotient is
-a Counter of cyclotomic exponents.  a(n, i) is divided by the product of
-its negative part, at once or else copy by copy (cyclotomics are
-irreducible over Q, so what fails to divide is exactly the reduced
-denominator), and only then multiplied by the product of its positive
-part, which shares no cyclotomic with it.
+a signed Counter of cyclotomic exponents, with P and N the products of
+its positive and negative parts.  a(n, i) is divided by N, at once or
+else copy by copy (cyclotomics are irreducible over Q, so what fails to
+divide is exactly the reduced denominator), and only then multiplied by
+P, which shares no cyclotomic with it.  A row b(n, .) is filled along i
+by the recurrence (i)_q! = (i-1)_q! (i)_q: each cyclotomic(e), e | i,
+e > 1, raises its exponent by one, so P gains a copy of it or N loses
+one by an exact division.
 
 The diagonal map u: xi -> x2 - x1 into A tensor_{A'} A sends the level 0
 twisted power prod_{i<n} (xi + (i)_q (1 - q) x) to the q-Pochhammer
-product prod_{i<n} (x2 - q^i x1), since (i)_q (1 - q) = 1 - q^i.
+product prod_{i<n} (x2 - q^i x1), since (i)_q (1 - q) = 1 - q^i; the
+image at n is the one at n - 1 times x2 - q^(n-1) x1.
 """
 
 from __future__ import annotations
@@ -40,8 +44,8 @@ from collections import Counter
 from functools import lru_cache
 from math import prod
 
-from .qarith import (LocScalar, NotDivisibleError, ONE, QPoly, cyclotomic,
-                     divide_by_cyclotomic_product, divide_exact, is_unit,
+from .qarith import (LocScalar, NotDivisibleError, ONE, QPoly, _divisors,
+                     cyclotomic, divide_by_cyclotomic_product, divide_exact, is_unit,
                      q_binomial, q_binomial_pow, q_factorial,
                      q_factorial_cyclotomic_exponents, q_int)
 from .coordring import (BiCoordPoly, CoordPoly, SIDE_A, SIDE_APRIME, accumulate,
@@ -74,23 +78,40 @@ def coeff_a(n, i, p):
 
 
 @lru_cache(maxsize=None)
+def _b_row(n, p):
+    """(b(n, n), ..., b(n, pn)), a MembershipError in place of an entry
+    outside the localization; num = P and den = N step along i (module docstring)."""
+    expo = q_factorial_cyclotomic_exponents(n - 1)     # the quotient at i = n - 1
+    expo.subtract(q_factorial_cyclotomic_exponents(n, p) + Counter({p: n}))
+    num, den = (prod((cyclotomic(d) ** e for d, e in f.items()), start=ONE)
+                for f in (+expo, -expo))
+    row = []
+    for i in range(n, p * n + 1):
+        for e in _divisors(i)[1:]:          # times (i)_q
+            expo[e] += 1
+            if expo[e] > 0:
+                num = num * cyclotomic(e)
+            else:
+                den = den.divexact(cyclotomic(e))
+        try:            # num and den share no cyclotomic: den | a num iff den | a
+            b = LocScalar(coeff_a(n, i, p).divexact(den))
+        except NotDivisibleError:
+            b = divide_by_cyclotomic_product(LocScalar(coeff_a(n, i, p)), -expo)
+        b = LocScalar._from_pair((b.num * num).coeffs, b.den.coeffs)
+        row.append(b if b.in_localization(p) else MembershipError(
+            f"b({n},{i}) has non-unit denominator {b.den} at p={p}"))
+    return tuple(row)
+
+
+@lru_cache(maxsize=None)
 def coeff_b(n, i, p):
-    """The scalar b(n, i) as a LocScalar; raises MembershipError if it
-    fails to lie in the localization at (p, q-1)."""
+    """The scalar b(n, i) as a LocScalar, read from its row; raises
+    MembershipError if it fails to lie in the localization at (p, q-1)."""
     if not (n <= i <= p * n):
         raise ValueError(f"coeff_b out of range: n={n}, i={i}, p={p}")
-    top = q_factorial_cyclotomic_exponents(i)
-    bottom = q_factorial_cyclotomic_exponents(n, p) + Counter({p: n})
-    num, den = (prod((cyclotomic(d) ** e for d, e in f.items()), start=ONE)
-                for f in (top - bottom, bottom - top))
-    try:                # num and den share no cyclotomic: den | a num iff den | a
-        b = LocScalar(coeff_a(n, i, p).divexact(den))
-    except NotDivisibleError:
-        b = divide_by_cyclotomic_product(LocScalar(coeff_a(n, i, p)), bottom - top)
-    b = LocScalar._from_pair((b.num * num).coeffs, b.den.coeffs)
-    if not b.in_localization(p):
-        raise MembershipError(
-            f"b({n},{i}) has non-unit denominator {b.den} at p={p}")
+    b = _b_row(n, p)[i - n]
+    if isinstance(b, MembershipError):
+        raise MembershipError(*b.args)
     return b
 
 
@@ -361,16 +382,18 @@ def v_basis_triangular(n_max, p):
 # the map into A tensor_{A'} A
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=1)      # the last image: u_of_divided_power asks for n in rising order
 def u_of_twisted_power(n, p):
     """Image of the n-th twisted power under xi -> 1 tensor x - x tensor 1.
 
     The level 0 factor xi + (i)_q (1 - q) x maps to x2 - q^i x1, since
-    (i)_q (1 - q) = 1 - q^i: the image is prod_{i<n} (x2 - q^i x1).
+    (i)_q (1 - q) = 1 - q^i: the image is prod_{i<n} (x2 - q^i x1), the
+    image at n - 1 times x2 - q^(n-1) x1.
     """
-    out = BiCoordPoly(p, {(0, 0): 1})
-    for i in range(n):
-        out = out * BiCoordPoly(p, {(0, 1): 1, (1, 0): QPoly((0,) * i + (-1,))})
-    return out
+    if n <= 0:
+        return BiCoordPoly(p, {(0, 0): 1})
+    return u_of_twisted_power(n - 1, p) * BiCoordPoly(
+        p, {(0, 1): 1, (1, 0): QPoly((0,) * (n - 1) + (-1,))})
 
 
 @lru_cache(maxsize=None)

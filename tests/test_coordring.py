@@ -8,8 +8,8 @@ from qtwist.qarith import (LocScalar, ONE_SCALAR, QPoly, Q, divide_exact,
                            mul_packed, q_int, random_locscalar)
 from qtwist.coordring import (BiCoordPoly, CoordPoly, DenseModule, SIDE_A, SIDE_APRIME,
                               SideMismatchError, delta, frobenius_decompose,
-                              frobenius_recompose, phi_abs, pullback_map,
-                              q_derivative, rel_frobenius, sigma_power,
+                              frobenius_recompose, level_derivative, phi_abs,
+                              pullback_map, q_derivative, rel_frobenius, sigma_power,
                               tensor_diagonal_generator, tensor_embed_left)
 
 x = CoordPoly.x()
@@ -47,6 +47,15 @@ def test_q_derivative_examples():
     for n in range(1, 7):
         assert q_derivative(x ** n) == q_int(n) * x ** (n - 1)
     assert q_derivative(x ** 2, 2) == q_int(2).stretch(2) * x
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 9, 25])
+def test_level_derivative_is_the_scaled_q_derivative(k):
+    rng = random.Random(100 + k)
+    integral = [CoordPoly([QPoly([rng.randint(-9, 9) for _ in range(3)]) for _ in range(5)])
+                for _ in range(10)]
+    for f in [rand_poly(rng, 5, deg=6) for _ in range(10)] + integral + [x ** 7, CoordPoly(3)]:
+        assert level_derivative(f, k) == q_derivative(f, k) * LocScalar(q_int(k))
 
 
 def test_rel_frobenius_and_pullback():

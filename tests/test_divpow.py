@@ -7,7 +7,7 @@ from qtwist.qarith import QPoly, Q, q_factorial, q_int, random_locscalar
 from qtwist.coordring import CoordPoly, SIDE_A, SIDE_APRIME
 from qtwist.divpow import (DegreeCapError, DPContext, DPElem, XiPoly, Y_LEVEL,
                            Y_STANDARD, _struct_consts_oracle, blowup,
-                           frobenius_base_change, to_twisted_basis,
+                           dp_structure_terms, frobenius_base_change, to_twisted_basis,
                            twisted_power_expand, twisted_power_mul)
 
 x = CoordPoly.x()
@@ -81,6 +81,24 @@ def test_dp_mul_associative_commutative(p, m):
         u, v, w = (DPElem.basis(ctx, t) for t in (a, b, c))
         assert u * v == v * u
         assert (u * v) * w == u * (v * w)
+
+
+@pytest.mark.parametrize("p,m,mode", [(2, 0, Y_LEVEL), (3, 1, Y_LEVEL), (5, 1, Y_STANDARD)])
+def test_dp_mul_is_bilinear_over_the_structure_terms(p, m, mode):
+    ctx = DPContext(p, m, mode)
+    rng = random.Random(p + m)
+
+    def rand_elem():
+        return DPElem(ctx, {n: CoordPoly([random_locscalar(rng, p, 2, 5) for _ in range(3)])
+                            for n in rng.sample(range(5), 3)})
+
+    for _ in range(5):
+        u, v = rand_elem(), rand_elem()
+        ref = DPElem(ctx, {})
+        for (n1, c1), (n2, c2) in itertools.product(u.terms.items(), v.terms.items()):
+            for n, s in dp_structure_terms(ctx, n1, n2):
+                ref = ref + DPElem.basis(ctx, n, c1 * c2 * s)
+        assert u * v == ref
 
 
 @pytest.mark.parametrize("p,m", [(2, 0), (2, 1), (3, 1)])

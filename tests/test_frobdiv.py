@@ -106,6 +106,7 @@ def _one_cyclotomic_short(a, n, i, p):
 def test_coeff_b_falls_back_when_the_denominator_does_not_divide(p, perturb, monkeypatch):
     monkeypatch.setattr(frobdiv, "coeff_a", lambda n, i, p: perturb(coeff_a(n, i, p), n, i, p))
     coeff_b.cache_clear()
+    frobdiv._b_row.cache_clear()
     kept = 0
     try:
         for n in range(6):
@@ -120,7 +121,24 @@ def test_coeff_b_falls_back_when_the_denominator_does_not_divide(p, perturb, mon
                 kept += got.den != ONE
     finally:
         coeff_b.cache_clear()
+        frobdiv._b_row.cache_clear()
     assert kept or perturb is _plus_one      # the fallback ran and left a denominator
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("order", ["descending", "shuffled"])
+def test_coeff_b_rows_do_not_depend_on_the_query_order(p, order):
+    keys = [(n, i) for n in range(9) for i in range(n, p * n + 1)]
+    if order == "descending":
+        keys.reverse()
+    else:
+        random.Random(p).shuffle(keys)
+    coeff_b.cache_clear()
+    frobdiv._b_row.cache_clear()
+    for n, i in keys:
+        got = coeff_b(n, i, p)
+        ref = coeff_b_reference(coeff_a(n, i, p), n, i, p)
+        assert (got.num, got.den) == (ref.num, ref.den), (n, i)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -356,17 +374,22 @@ def test_u_kills_divided_frobenius_p2():
     assert img.is_zero()
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_u_of_twisted_power_matches_xi_expansion(p):
     # reference: expand the level 0 twisted power in xi over A, then evaluate
     # at xi = x2 - x1 by Horner's rule with each coefficient f(x) sent to f(x1)
     gen = tensor_diagonal_generator(p)
+    refs = []
     for n in range(2 * p + 2):
         expansion = twisted_power_expand(n, level_zero_ctx(p))
         ref = BiCoordPoly(p)
         for c in reversed(expansion.coeffs):
             ref = ref * gen + tensor_embed_left(c, p)
+        refs.append(ref)
         assert u_of_twisted_power(n, p) == ref
+    u_of_twisted_power.cache_clear()        # each image from the one before, queried top down
+    for n in reversed(range(len(refs))):
+        assert u_of_twisted_power(n, p) == refs[n]
 
 
 @pytest.mark.parametrize("p", [2, 3])

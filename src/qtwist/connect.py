@@ -38,9 +38,11 @@ from .coordring import (CoordPoly, SIDE_A, SIDE_APRIME, SideMismatchError,
                         frobenius_decompose, level_derivative, q_derivative,
                         rel_frobenius, sigma_power)
 
+H0_ENUMERATION_CAP = 10 ** 6      # most module elements h0_truncated enumerates
+
 
 class ResourceCapError(RuntimeError):
-    """A truncated enumeration would exceed the configured size cap."""
+    """A truncated enumeration would exceed H0_ENUMERATION_CAP."""
 
 
 def ring_elements(p, N):
@@ -215,22 +217,22 @@ def quasi_nilpotence_check(module, N, K):
     return True
 
 
-def h0_truncated(module, N, d, cap=10 ** 6):
+def h0_truncated(module, N, d):
     """Generators of the kernel of theta on the truncated module.
 
     The module (coefficients in Z[t]/(p,t)^N, x-degree <= d) is finite;
     it is enumerated exhaustively and a minimal generating set of the
     kernel is extracted greedily.  Raises ResourceCapError when the
-    enumeration would be larger than ``cap``.
+    enumeration would be larger than ``H0_ENUMERATION_CAP``.
     """
     p = module.p
     if module.rank == 0:
         return []
     slots = module.rank * (d + 1)
     ring_size = p ** (N * (N + 1) // 2)
-    if ring_size ** slots > cap:
+    if ring_size ** slots > H0_ENUMERATION_CAP:
         raise ResourceCapError(
-            f"module size {ring_size}^{slots} exceeds cap {cap}")
+            f"module size {ring_size}^{slots} exceeds cap {H0_ENUMERATION_CAP}")
     lifted = [(c, ring_lift(c)) for c in ring_elements(p, N)]
     kernel = []
     for combo in itertools.product(lifted, repeat=slots):

@@ -35,7 +35,7 @@ from .qarith import LocScalar, QPoly, q_binomial_pow
 # q_derivative is unused here but stays bound: perfbench instruments it by name
 from .coordring import (CoordPoly, SIDE_A, SparseModule, accumulate, level_derivative,
                         q_derivative, sigma_power)
-from .divpow import DEFAULT_DEGREE_CAP, DPContext, DPElem, Y_LEVEL
+from .divpow import DEFAULT_DEGREE_CAP, DPContext, DPElem
 
 
 class TwistedDiffOp(SparseModule):
@@ -107,7 +107,7 @@ def op_apply(d, f):
 
 def taylor(f, N, p, m):
     """Truncated expansion sum_{i<=N} D^<i>(f) w[i] at level -m."""
-    ctx = DPContext(p, m, Y_LEVEL, SIDE_A, 1, cap=max(N, DEFAULT_DEGREE_CAP))
+    ctx = DPContext(p, m, SIDE_A, 1, cap=max(N, DEFAULT_DEGREE_CAP))
     terms = {}
     current = f
     for i in range(N + 1):

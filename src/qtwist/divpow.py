@@ -1,11 +1,11 @@
 """Twisted powers and twisted divided-power algebras.
 
-A context fixes a prime p, a level parameter m >= 0, a twist mode, a side
-and a degree cap.  The twist variable is Q := q^(qexp * p^m) where qexp is
-1 on side A and may become p after base change.  The twist parameter y is:
-
-* ``"level"``     y = (1 - q^qexp) x      (divided powers of level -m)
-* ``"standard"``  y = (1 - Q) x           (ordinary twist at Q)
+A context fixes a prime p, a level parameter m >= 0, a side, an exponent
+qexp >= 1 (1 on side A, p after base change) and a degree cap.  The twist
+variable is Q := q^(qexp * p^m) and the twist parameter y = (1 - q^qexp) x:
+the divided powers of level -m.  The standard algebra at Q, y = (1 - Q) x,
+is the level 0 context at twist exponent qexp * p^m; ``blowup`` maps it to
+level -m by xi -> (p^m)_{q^qexp} w.
 
 Basis symbols are written xi^[n] below; they multiply by
 
@@ -23,7 +23,7 @@ in a polynomial ring, since the q-factorials are not invertible here.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .qarith import (LocScalar, ONE, ONE_SCALAR, QPoly, ZERO_SCALAR, is_decimal,
@@ -34,9 +34,6 @@ from .coordring import (CoordPoly, DenseModule, SIDE_A, SIDE_APRIME,
 DEFAULT_DEGREE_CAP = 16
 PRIMES = (2, 3, 5, 7)
 LEVELS = range(4)            # the level parameter m; the algebra has level -m
-
-Y_LEVEL = "level"
-Y_STANDARD = "standard"
 
 
 class DegreeCapError(ValueError):
@@ -53,7 +50,6 @@ class DPContext:
 
     p: int
     m: int = 0
-    y_mode: str = Y_LEVEL
     side: str = SIDE_A
     qexp: int = 1
     cap: int = DEFAULT_DEGREE_CAP
@@ -65,8 +61,9 @@ class DPContext:
             raise ValueError("desk-scale contexts support p in {2, 3, 5, 7}")
         if self.m not in LEVELS:
             raise ValueError("level parameter m must be in 0..3")
-        if self.y_mode not in (Y_LEVEL, Y_STANDARD):
-            raise ValueError(f"unknown y_mode {self.y_mode!r}")
+        for name, low in (("qexp", 1), ("cap", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
         if self.side not in (SIDE_A, SIDE_APRIME):
             raise SideMismatchError(f"unknown side {self.side!r}")
 
@@ -77,20 +74,25 @@ class DPContext:
 
     def y_scale(self):
         """The scalar c with y = c*x."""
-        e = self.qexp if self.y_mode == Y_LEVEL else self.twist
-        return ONE - QPoly((0,) * e + (1,))
+        return ONE - QPoly((0,) * self.qexp + (1,))
 
     def y_coordpoly(self):
         """y as a CoordPoly."""
         return CoordPoly.monomial(self.y_scale(), 1, self.side)
 
     def to_json(self):
-        return asdict(self)
+        return {"p": self.p, "m": self.m, "y_mode": "level", "side": self.side,
+                "qexp": self.qexp, "cap": self.cap}
 
     @classmethod
     def from_json(cls, data):
-        return cls(data["p"], data["m"], data["y_mode"], data["side"],
-                   data.get("qexp", 1), data.get("cap", DEFAULT_DEGREE_CAP))
+        ctx = cls(data["p"], data["m"], data["side"],
+                  data.get("qexp", 1), data.get("cap", DEFAULT_DEGREE_CAP))
+        if data["y_mode"] != "level":
+            std = replace(ctx, m=0, qexp=ctx.twist).to_json()
+            raise ValueError(f'"y_mode" must be "level", got {data["y_mode"]!r}; the standard '
+                             f"algebra at this twist is the level 0 context {std}")
+        return ctx
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +275,7 @@ class DPElem(SparseModule):
     def __repr__(self):
         if not self.terms:
             return "DPElem(0)"
-        sym = "w" if self.ctx.y_mode == Y_LEVEL and self.ctx.m > 0 else "xi"
+        sym = "w" if self.ctx.m > 0 else "xi"
         return " + ".join(f"({c})*{sym}[{n}]"
                           for n, c in sorted(self.terms.items()))
 
@@ -306,28 +308,22 @@ def dp_mul(u, v):
     return DPElem(ctx, out)
 
 
-def blowup(e, z, target_ctx):
-    """Rescale the twist parameter: basis index n picks up z^n.
+def blowup(e, ctx):
+    """The ring map xi -> z w into ctx from the standard algebra at its twist.
 
-    Sends an element with twist parameter z*y to the algebra with twist
-    parameter y; contexts must share the twist variable and side, and the
-    parameters must satisfy y_src = z * y_tgt.
+    The source context is ctx at m = 0 and qexp = ctx.twist; its y is z
+    times that of ctx, z = (p^m)_{q^qexp}, so index n picks up z^n.
     """
-    src = e.ctx
-    z = CoordPoly(z, src.side)
-    if z.degree > 0:
-        raise ValueError("blow-up factor must be a scalar")
-    z = z.coeff(0)
-    if (src.twist, src.side) != (target_ctx.twist, target_ctx.side):
-        raise ValueError("blow-up requires matching twist variable and side")
-    if z.num * target_ctx.y_scale() != z.den * src.y_scale():
-        raise ValueError("blow-up factor does not relate the twist parameters")
+    src = replace(ctx, m=0, qexp=ctx.twist)
+    if e.ctx != src:
+        raise ValueError(f"blow-up into {ctx} takes elements of {src}, not of {e.ctx}")
+    z = LocScalar(q_int_pow(ctx.p ** ctx.m, ctx.qexp))
     out, zn, k = {}, ONE_SCALAR, 0
     for n in sorted(e.terms):            # zn = z^n by one product per index
         while k < n:
             zn, k = zn * z, k + 1
         out[n] = e.terms[n] * zn
-    return DPElem(target_ctx, out)
+    return DPElem(ctx, out)
 
 
 def frobenius_base_change(e):

@@ -18,9 +18,9 @@ Frobenius on the level -1 algebra itself sends index n to
 
 and the quotient (phi(e) - e^p)/p is an exact operation.  phi_dp is
 blowup o phi_std: phi_std has these rows without the (p)_q^i, in the
-standard algebra at twist q^p (y = (1 - q^p) x), and the blow-up by (p)_q,
-an injective ring map, restores them.  The top coefficient b(n, pn) equals
-the double product of (kp - j)_q over 1 <= k <= n, 1 <= j <= p-1, a unit.
+standard algebra at twist q^p (level 0 at qexp p), and the blow-up by
+(p)_q, an injective ring map, restores them.  The top coefficient
+b(n, pn) = prod (kp - j)_q over 1 <= k <= n, 1 <= j <= p-1 is a unit.
 
 b(n, i) is computed without any generic gcd: the q-factorial quotient is
 a signed Counter of cyclotomic exponents, with P and N the products of
@@ -50,8 +50,8 @@ from .qarith import (LocScalar, NotDivisibleError, ONE, QPoly, _divisors,
                      q_factorial_cyclotomic_exponents, q_int)
 from .coordring import (BiCoordPoly, CoordPoly, SIDE_A, SIDE_APRIME, accumulate,
                         phi_abs, rel_frobenius, tensor_embed_left)
-from .divpow import (DEFAULT_DEGREE_CAP, DPContext, DPElem, XiPoly, Y_LEVEL,
-                     Y_STANDARD, blowup, frobenius_base_change)
+from .divpow import (DEFAULT_DEGREE_CAP, DPContext, DPElem, XiPoly, blowup,
+                     frobenius_base_change)
 
 
 class MembershipError(ArithmeticError):
@@ -170,11 +170,11 @@ class FrobCoeffTable:
 # ---------------------------------------------------------------------------
 
 def level_minus_one_ctx(p, side=SIDE_A, cap=DEFAULT_DEGREE_CAP):
-    return DPContext(p, 1, Y_LEVEL, side, 1, cap)
+    return DPContext(p, 1, side, 1, cap)
 
 
 def level_zero_ctx(p, side=SIDE_A, cap=DEFAULT_DEGREE_CAP):
-    return DPContext(p, 0, Y_LEVEL, side, 1, cap)
+    return DPContext(p, 0, side, 1, cap)
 
 
 def _b_row_image(e, out_ctx, lift, row):
@@ -207,13 +207,13 @@ def phi_std(e):
     ctx = e.ctx
     if ctx != level_minus_one_ctx(ctx.p, ctx.side, ctx.cap):
         raise ValueError("the Frobenius lift expects a level -1 context")
-    std = DPContext(ctx.p, 1, Y_STANDARD, ctx.side, 1, ctx.cap)
+    std = DPContext(ctx.p, 0, ctx.side, ctx.p, ctx.cap)
     return _b_row_image(e, std, phi_abs, lambda n, i, p: coeff_b(n, i, p).subs_qpow(p))
 
 
 def phi_dp(e):
     """Frobenius lift on the level -1 algebra (same algebra, semilinear)."""
-    return blowup(phi_std(e), q_int(e.ctx.p), e.ctx)
+    return blowup(phi_std(e), e.ctx)
 
 
 def delta_dp(e):
@@ -258,9 +258,7 @@ def phi_level_zero(e):
     ctx = e.ctx
     if ctx != level_zero_ctx(ctx.p, cap=ctx.cap):
         raise ValueError("phi_level_zero expects level 0 over A")
-    moved = frobenius_base_change(e)
-    tgt = level_minus_one_ctx(ctx.p, SIDE_APRIME, cap=ctx.cap)
-    blown = blowup(moved, q_int(ctx.p), tgt)
+    blown = blowup(frobenius_base_change(e), level_minus_one_ctx(ctx.p, SIDE_APRIME, ctx.cap))
     return divided_frobenius(blown)
 
 

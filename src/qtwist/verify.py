@@ -33,7 +33,7 @@ from . import divpow as dp
 from . import frobdiv as fd
 from . import qarith as qa
 from .coordring import CoordPoly, SIDE_A, SIDE_APRIME
-from .divpow import DEFAULT_DEGREE_CAP, DPContext, DPElem, Y_LEVEL, Y_STANDARD
+from .divpow import DEFAULT_DEGREE_CAP, DPContext, DPElem
 from .qarith import LocScalar, QPoly, q_int
 
 
@@ -292,14 +292,12 @@ def check_factorial_map(cfg, rng):
 def check_blowup_multiplicative(cfg, rng):
     p = cfg.p
     for m in (1, 2):
-        src = DPContext(p, m, Y_STANDARD)
-        tgt = DPContext(p, m, Y_LEVEL)
-        z = q_int(p ** m)
+        src, tgt = DPContext(p, 0, qexp=p ** m), DPContext(p, m)
         for n1 in range(7):
             for n2 in range(7 - n1):
                 a, b = DPElem.basis(src, n1), DPElem.basis(src, n2)
                 yield (f"blow-up not multiplicative at m={m}, ({n1},{n2})",
-                       dp.blowup(a * b, z, tgt), dp.blowup(a, z, tgt) * dp.blowup(b, z, tgt))
+                       dp.blowup(a * b, tgt), dp.blowup(a, tgt) * dp.blowup(b, tgt))
     return True, "blow-up by (p^m)_q is a ring map on pairs n1+n2 <= 6"
 
 
@@ -308,10 +306,9 @@ def check_blowup_multiplicative(cfg, rng):
 def check_generic_specialization(cfg, rng):
     p = cfg.p
     for m in (0, 1, 2):
-        for mode in (Y_LEVEL, Y_STANDARD):
-            ctx = DPContext(p, m, mode)
-            k = ctx.twist
-            c = ctx.y_scale()
+        # the standard algebra at q^(p^m) is the level 0 context at qexp p^m
+        for mode, ctx in (("level", DPContext(p, m)), ("standard", DPContext(p, 0, qexp=p ** m))):
+            k, c = ctx.twist, ctx.y_scale()
             for n1 in range(7):
                 for n2 in range(7):
                     oracle = {
@@ -451,15 +448,12 @@ def check_phi_level_zero_formula(cfg, rng):
 def check_delta_xi_blowup(cfg, rng):
     p = cfg.p
     cap = max(4 * p, DEFAULT_DEGREE_CAP)
-    std = DPContext(p, 0, Y_STANDARD, SIDE_A, p, cap=cap)      # twist q^p
+    std = DPContext(p, 0, SIDE_A, p, cap)      # the standard algebra at twist q^p
     lvl = fd.level_minus_one_ctx(p, cap=cap)
 
     def blow(f):
-        out = DPElem(lvl, {})
-        for n, c in dp.to_twisted_basis(f, std).items():
-            scal = qa.q_factorial_pow(n, p) * q_int(p) ** n
-            out = out + DPElem.basis(lvl, n, c * scal)
-        return out
+        return DPElem(lvl, {n: c * (qa.q_factorial_pow(n, p) * q_int(p) ** n)
+                            for n, c in dp.to_twisted_basis(f, std).items()})
 
     xi = dp.XiPoly.gen()
     for n in range(5):

@@ -315,6 +315,23 @@ def test_frobenius_rejects_image_above_cap(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("qexp", 0, "qexp must be at least 1, got 0"),
+    ("cap", -1, "cap must be at least 0, got -1"),
+    ("y_mode", "standard", "the standard algebra at this twist is the level 0 context "
+                           "{'p': 3, 'm': 0, 'y_mode': 'level', 'side': \"A'\", 'qexp': 3,"),
+])
+def test_frobenius_rejects_a_context_outside_the_algebras(tmp_path, capsys, field, value, message):
+    with open(os.path.join(DATA, "level-minus-one-p3.json")) as f:
+        doc_json = json.load(f)
+    doc_json["ctx"][field] = value
+    doc = tmp_path / "ctx.json"
+    doc.write_text(json.dumps(doc_json))
+    code, out, err = run(capsys, "frobenius", str(doc), "--p", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: not a divided-power document: ") and message in err
+
+
 def test_internal_error_exits_three(capsys, monkeypatch):
     import qtwist.cli as cli
     from qtwist.coordring import SideMismatchError

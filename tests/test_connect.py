@@ -295,7 +295,11 @@ def test_h0_check_catches_a_theta_without_the_level_factor(monkeypatch):
     assert check_h0_bruteforce(cfg) == (False, "generators span 8 of 32 kernel elements")
 
 
-def test_h0_resource_cap():
-    mod = ConnModule.trivial(2, 1, SIDE_A, 3)
-    with pytest.raises(ResourceCapError):
-        h0_truncated(mod, 3, 4, cap=1000)
+def test_h0_resource_cap(monkeypatch):
+    def no_enumeration(p, N):
+        raise AssertionError("enumerated a module above the cap")
+
+    monkeypatch.setattr(connect, "ring_elements", no_enumeration)
+    mod = ConnModule.trivial(2, 1, SIDE_A, 1)          # 64^5 elements at N = 3, d = 4
+    with pytest.raises(ResourceCapError, match=r"module size 64\^5 exceeds cap 1000000$"):
+        h0_truncated(mod, 3, 4)

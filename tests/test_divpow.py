@@ -3,29 +3,30 @@ import random
 
 import pytest
 
-from qtwist.qarith import QPoly, Q, q_factorial, q_int, random_locscalar
+from qtwist.qarith import ONE, QPoly, Q, q_factorial, q_int, random_locscalar
 from qtwist.coordring import CoordPoly, SIDE_A, SIDE_APRIME
-from qtwist.divpow import (DegreeCapError, DPContext, DPElem, XiPoly, Y_LEVEL,
-                           Y_STANDARD, _struct_consts_oracle, blowup,
-                           dp_structure_terms, frobenius_base_change, to_twisted_basis,
+from qtwist.divpow import (DegreeCapError, DPContext, DPElem, XiPoly,
+                           _struct_consts_oracle, blowup, dp_structure_terms,
+                           frobenius_base_change, to_twisted_basis,
                            twisted_power_expand, twisted_power_mul)
 
 x = CoordPoly.x()
 
 
-def ctx_level(p, m, **kw):
-    return DPContext(p, m, Y_LEVEL, **kw)
+def ctx_of(p, m, mode):
+    """Level -m divided powers, or the standard algebra at q^(p^m): level 0 at qexp p^m."""
+    return DPContext(p, m) if mode == "level" else DPContext(p, 0, qexp=p ** m)
 
 
 def test_twisted_power_expand_basics():
-    ctx = ctx_level(2, 0)
+    ctx = DPContext(2, 0)
     assert twisted_power_expand(0, ctx) == XiPoly((CoordPoly(1),))
     assert twisted_power_expand(1, ctx) == XiPoly.gen()
 
 
 def test_twisted_power_expand_level():
     # at level 0 the i-th factor is xi + (1 - q^i) x
-    ctx = ctx_level(3, 0)
+    ctx = DPContext(3, 0)
     t2 = twisted_power_expand(2, ctx)
     assert t2.coeff(1) == QPoly([1, -1]) * x
     t3 = twisted_power_expand(3, ctx)
@@ -35,11 +36,11 @@ def test_twisted_power_expand_level():
 
 
 @pytest.mark.parametrize("p,m,mode", [
-    (2, 0, Y_LEVEL), (2, 1, Y_LEVEL), (3, 1, Y_LEVEL),
-    (2, 1, Y_STANDARD),
+    (2, 0, "level"), (2, 1, "level"), (3, 1, "level"),
+    (2, 1, "standard"),
 ])
 def test_twisted_power_mul_against_expansion(p, m, mode):
-    ctx = DPContext(p, m, mode)
+    ctx = ctx_of(p, m, mode)
     for n1, n2 in [(1, 1), (2, 1), (2, 2), (3, 2)]:
         direct = twisted_power_expand(n1, ctx) * twisted_power_expand(n2, ctx)
         recombined = XiPoly((), ctx.side)
@@ -49,7 +50,9 @@ def test_twisted_power_mul_against_expansion(p, m, mode):
 
 
 def test_twisted_power_mul_closed_values():
-    ctx = DPContext(2, 0, Y_STANDARD)
+    ctx = DPContext(2, 0)
+    # the standard algebra at m = 0, y = (1 - Q) x with Q = q^twist, is this context
+    assert ctx_of(2, 0, "standard") == ctx and ctx.y_scale() == ONE - Q ** ctx.twist
     y = ctx.y_coordpoly()
     out = twisted_power_mul(1, 1, ctx)
     assert out[2] == CoordPoly(1)
@@ -60,14 +63,14 @@ def test_twisted_power_mul_closed_values():
 
 
 def test_dp_identity_and_examples():
-    ctx = ctx_level(2, 1)
+    ctx = DPContext(2, 1)
     one = DPElem.one(ctx)
     w = DPElem.basis(ctx, 1)
     assert one * w == w
     ww = w * w
     assert ww.coeff(2) == CoordPoly(q_int(2).stretch(2))
     assert ww.coeff(1) == QPoly([-1, 1]) * x
-    ctx0 = ctx_level(2, 0)
+    ctx0 = DPContext(2, 0)
     xi = DPElem.basis(ctx0, 1)
     xx = xi * xi
     assert xx.coeff(2) == CoordPoly(q_int(2))
@@ -76,16 +79,16 @@ def test_dp_identity_and_examples():
 
 @pytest.mark.parametrize("p,m", [(2, 0), (2, 1), (3, 1), (5, 2)])
 def test_dp_mul_associative_commutative(p, m):
-    ctx = ctx_level(p, m)
+    ctx = DPContext(p, m)
     for a, b, c in itertools.product(range(3), repeat=3):
         u, v, w = (DPElem.basis(ctx, t) for t in (a, b, c))
         assert u * v == v * u
         assert (u * v) * w == u * (v * w)
 
 
-@pytest.mark.parametrize("p,m,mode", [(2, 0, Y_LEVEL), (3, 1, Y_LEVEL), (5, 1, Y_STANDARD)])
+@pytest.mark.parametrize("p,m,mode", [(2, 0, "level"), (3, 1, "level"), (5, 1, "standard")])
 def test_dp_mul_is_bilinear_over_the_structure_terms(p, m, mode):
-    ctx = DPContext(p, m, mode)
+    ctx = ctx_of(p, m, mode)
     rng = random.Random(p + m)
 
     def rand_elem():
@@ -104,7 +107,7 @@ def test_dp_mul_is_bilinear_over_the_structure_terms(p, m, mode):
 @pytest.mark.parametrize("p,m", [(2, 0), (2, 1), (3, 1)])
 def test_factorial_map_is_ring_hom(p, m):
     # pushing xi^(n) -> (n)_Q! xi^[n] through both products agrees
-    ctx = ctx_level(p, m)
+    ctx = DPContext(p, m)
     k = ctx.twist
     for n1 in range(5):
         for n2 in range(5 - n1):
@@ -126,37 +129,63 @@ def test_oracle_structure_constants_are_integral():
 
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2)])
 def test_blowup_examples(p, m):
-    src = DPContext(p, m, Y_STANDARD)
-    tgt = DPContext(p, m, Y_LEVEL)
-    z = q_int(p ** m)
-    assert blowup(DPElem.one(src), z, tgt) == DPElem.one(tgt)
-    b2 = blowup(DPElem.basis(src, 2), z, tgt)
+    src, tgt = ctx_of(p, m, "standard"), ctx_of(p, m, "level")
+    assert blowup(DPElem.one(src), tgt) == DPElem.one(tgt)
+    b2 = blowup(DPElem.basis(src, 2), tgt)
     assert b2 == DPElem.basis(tgt, 2, CoordPoly(q_int(p ** m) ** 2))
     a, b = DPElem.basis(src, 1), DPElem.basis(src, 1)
-    assert blowup(a * b, z, tgt) == blowup(a, z, tgt) * blowup(b, z, tgt)
+    assert blowup(a * b, tgt) == blowup(a, tgt) * blowup(b, tgt)
 
 
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2)])
 def test_blowup_matches_the_power_definition(p, m):
     # index n picks up z^n; supports with gaps, index 0 and fractional coefficients
-    src, tgt = DPContext(p, m, Y_STANDARD), DPContext(p, m, Y_LEVEL)
+    src, tgt = ctx_of(p, m, "standard"), ctx_of(p, m, "level")
+    # z relates the twist parameters: y_src = z y_tgt
+    assert src.y_scale() == q_int(p ** m) * tgt.y_scale()
     z = CoordPoly(q_int(p ** m))
     rng = random.Random(10 * p + m)
     for _ in range(6):
         e = DPElem(src, {n: CoordPoly([random_locscalar(rng, p) for _ in range(rng.randint(1, 3))])
                          for n in rng.sample(range(17), rng.randint(0, 6))})
-        assert blowup(e, z, tgt) == DPElem(tgt, {n: c * z ** n for n, c in e.terms.items()})
+        assert blowup(e, tgt) == DPElem(tgt, {n: c * z ** n for n, c in e.terms.items()})
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_blowup_factor_is_read_at_the_target_qexp(p):
+    # into level -1 at qexp p (twist q^(p^2)) the factor is (p)_{q^p}
+    src, tgt = DPContext(p, 0, qexp=p * p), DPContext(p, 1, qexp=p)
+    z = q_int(p).stretch(p)
+    assert src.y_scale() == z * tgt.y_scale()
+    for n in range(4):
+        assert blowup(DPElem.basis(src, n, x), tgt) == DPElem.basis(tgt, n, x * z ** n)
+    a, b = DPElem.basis(src, 2), DPElem.basis(src, 3)
+    assert blowup(a * b, tgt) == blowup(a, tgt) * blowup(b, tgt)
+
+
+@pytest.mark.parametrize("src", [
+    DPContext(2, 1),                          # a level -1 source
+    DPContext(2, 0, qexp=1),                  # level 0 at the wrong qexp
+    DPContext(2, 0, qexp=2, cap=17),          # a different cap
+    DPContext(2, 0, SIDE_APRIME, qexp=2),     # a different side
+], ids=["level-minus-one", "wrong-qexp", "other-cap", "other-side"])
+def test_blowup_rejects_a_source_other_than_the_standard_algebra(src):
+    tgt = DPContext(2, 1)
+    assert ctx_of(2, 1, "standard") != src
+    with pytest.raises(ValueError, match="blow-up into"):
+        blowup(DPElem.basis(src, 1), tgt)
 
 
 def test_blowup_rejects_mismatched_parameters():
-    src = DPContext(2, 1, Y_STANDARD)
-    tgt = DPContext(2, 1, Y_LEVEL)
+    # the standard algebra at q^2 does not blow up into level -1 at q^4
+    src = ctx_of(2, 1, "standard")
+    tgt = DPContext(2, 1, qexp=2)
     with pytest.raises(ValueError):
-        blowup(DPElem.basis(src, 1), Q, tgt)
+        blowup(DPElem.basis(src, 1), tgt)
 
 
 def test_frobenius_base_change():
-    ctx = ctx_level(2, 1)
+    ctx = DPContext(2, 1)
     e = DPElem.basis(ctx, 1, x)
     moved = frobenius_base_change(e)
     assert moved.ctx.side == SIDE_APRIME and moved.ctx.qexp == 2
@@ -182,7 +211,7 @@ def _twisted_coeffs_by_back_substitution(f, ctx):
 
 
 def test_to_twisted_basis_roundtrip():
-    ctx = ctx_level(2, 1, qexp=1)
+    ctx = DPContext(2, 1, qexp=1)
     f = XiPoly.gen() ** 3 + XiPoly((x ** 2,)) * XiPoly.gen() + XiPoly((CoordPoly(5),))
     coeffs = to_twisted_basis(f, ctx)
     back = XiPoly((), SIDE_A)
@@ -192,10 +221,10 @@ def test_to_twisted_basis_roundtrip():
     # the contexts of the blow-up check, up to degree 4p
     for p in (2, 3, 5):
         f = XiPoly([CoordPoly([k % 3 - 1, 0, (-1) ** k * k]) for k in range(4 * p + 1)])
-        for y_mode in (Y_LEVEL, Y_STANDARD):
-            for qexp in (1, p):
-                ctx = DPContext(p, 0, y_mode, SIDE_A, qexp, cap=4 * p)
-                assert to_twisted_basis(f, ctx) == _twisted_coeffs_by_back_substitution(f, ctx)
+        # at m = 0 the level and the standard contexts coincide
+        for qexp in (1, p):
+            ctx = DPContext(p, 0, SIDE_A, qexp, cap=4 * p)
+            assert to_twisted_basis(f, ctx) == _twisted_coeffs_by_back_substitution(f, ctx)
 
 
 def test_degree_cap_enforced():
@@ -208,7 +237,7 @@ def test_degree_cap_enforced():
 
 
 def test_dpelem_serialization():
-    ctx = ctx_level(3, 1)
+    ctx = DPContext(3, 1)
     e = DPElem(ctx, {0: x, 2: CoordPoly(q_int(3))})
     back = DPElem.from_json(e.to_json())
     assert back == e
@@ -226,13 +255,26 @@ def test_mixed_caps_fail_alike_in_either_order():
 
 
 def test_generic_y_mode_is_rejected():
-    with pytest.raises(ValueError, match="unknown y_mode"):
-        DPContext(2, y_mode="generic")
+    data = DPContext(3, 2, SIDE_APRIME, 3, cap=24).to_json()
+    for mode in ("generic", "standard"):
+        with pytest.raises(ValueError, match=f"'{mode}'; the standard algebra at this twist is "
+                           "the level 0 context {'p': 3, 'm': 0, 'y_mode': 'level', "
+                           "'side': \"A'\", 'qexp': 27, 'cap': 24}"):
+            DPContext.from_json({**data, "y_mode": mode})
+
+
+@pytest.mark.parametrize("field,value", [("qexp", 0), ("qexp", -2), ("cap", -1)])
+def test_context_rejects_a_nonpositive_qexp_and_a_negative_cap(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be at least"):
+        DPContext(2, **{field: value})
+    with pytest.raises(ValueError, match=f"^{field} must be at least"):
+        DPContext.from_json({**DPContext(2).to_json(), field: value})
 
 
 def test_context_json_key_order_and_roundtrip():
-    ctx = DPContext(3, 2, Y_STANDARD, SIDE_APRIME, 3, cap=24)
+    ctx = DPContext(3, 2, SIDE_APRIME, 3, cap=24)
     data = ctx.to_json()
     assert list(data) == ["p", "m", "y_mode", "side", "qexp", "cap"]
+    assert data["y_mode"] == "level"
     assert DPContext.from_json(data) == ctx
     assert DPContext.from_json({**data, "cap": 16}) != ctx     # the cap is identity

@@ -10,7 +10,7 @@ from qtwist.qarith import (LocScalar, ONE, QPoly, Q, cyclotomic,
                            q_factorial_cyclotomic_exponents, q_int, random_locscalar)
 from qtwist.coordring import (BiCoordPoly, CoordPoly, SIDE_A, SIDE_APRIME, phi_abs,
                               tensor_diagonal_generator, tensor_embed_left)
-from qtwist.divpow import (DPContext, DPElem, XiPoly, Y_STANDARD, to_twisted_basis,
+from qtwist.divpow import (DPContext, DPElem, XiPoly, to_twisted_basis,
                            twisted_power_expand)
 from qtwist.frobdiv import (FrobCoeffTable, MembershipError, coeff_a, coeff_b,
                             delta_dp, delta_iterates,
@@ -244,7 +244,7 @@ def test_phi_dp_is_the_blow_up_of_the_standard_image(p):
     e = DPElem(ctx, g)
     assert phi_dp(e) == sum((b_row(n) * phi_abs(c, p) for n, c in e.terms.items()),
                             DPElem(ctx, {}))
-    assert phi_std(e).ctx == DPContext(p, 1, Y_STANDARD, SIDE_A, 1, 6 * p)
+    assert phi_std(e).ctx == DPContext(p, 0, SIDE_A, p, 6 * p)     # standard at twist q^p
 
 
 def test_phi_std_rejects_other_contexts():
@@ -283,9 +283,8 @@ def test_symmetric_delta_xi_p3_formula():
 
 def test_blowup_intertwines_lifts():
     # xi^(n) at twist q^2 maps to (n)_{q^2}! (2)_q^n w[n]; squares commute
-    from qtwist.divpow import DPContext, Y_STANDARD
     p = 2
-    std = DPContext(p, 0, Y_STANDARD, SIDE_A, p)
+    std = DPContext(p, 0, SIDE_A, p)
     lvl = level_minus_one_ctx(p)
 
     def blow(f):

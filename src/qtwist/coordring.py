@@ -36,7 +36,7 @@ every coefficient container of the package: the dense ``CoordPoly`` and
 from __future__ import annotations
 
 from .qarith import (LocScalar, ONE_SCALAR, QPoly, ZERO_SCALAR, divide_exact,
-                     mul_packed, power, q_int, q_int_pow)
+                     json_fields, mul_packed, power, q_int, q_int_pow)
 
 SIDE_A = "A"
 SIDE_APRIME = "A'"
@@ -134,7 +134,8 @@ class DenseModule:
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
-            out[i] = out[i] + c
+            if c:
+                out[i] = out[i] + c
         return self._new(out)
 
     __radd__ = __add__
@@ -162,14 +163,17 @@ class DenseModule:
                 continue
             for j, b in terms:
                 accumulate(out, i + j, a * b)
-        zero = self._coeff(0)
-        return self._new([out.get(d, zero)
-                          for d in range(len(self.coeffs) + len(other.coeffs) - 1)])
+        return self.from_degrees(out, self.side)
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
         return power(self, n, self._new((1,)))
+
+    @classmethod
+    def from_degrees(cls, row, side):
+        """The element with coefficient row[d] at degree d, zero where row has no d."""
+        return cls([row.get(d, ZERO_SCALAR) for d in range(max(row, default=-1) + 1)], side)
 
     def map_coeffs(self, fn):
         return self._new(tuple(fn(c) for c in self.coeffs))
@@ -319,8 +323,12 @@ class CoordPoly(DenseModule):
         return {"side": self.side, "coeffs": [c.to_json() for c in self.coeffs]}
 
     @classmethod
-    def from_json(cls, data):
-        return cls([LocScalar.from_json(c) for c in data["coeffs"]], data["side"])
+    def from_json(cls, data, path=""):
+        coeffs, side = json_fields(data, path, "coeffs", "side")
+        path = f"{path}.coeffs" if path else "coeffs"
+        if not isinstance(coeffs, list):
+            raise ValueError(f"{path}: expected an array, got {type(coeffs).__name__}")
+        return cls([LocScalar.from_json(c, f"{path}[{i}]") for i, c in enumerate(coeffs)], side)
 
 
 def sigma_power(f, k):

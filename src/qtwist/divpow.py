@@ -13,7 +13,10 @@ Basis symbols are written xi^[n] below; they multiply by
         sum_i (-1)^i Q^(i(i-1)/2) C(n1, i)_Q C(n1+n2-i, n1)_Q y^i xi^[n1+n2-i]
 
 over 0 <= i <= min(n1, n2), with the constants taken from this closed
-form.  ``_struct_consts_oracle`` recomputes them independently in Q(q) by
+form, sign and y-power included: term i is one scalar times x^i.  A
+product adds each coefficient of c1 c2 times such a scalar into a row
+{x-degree: scalar} of its index, one ``CoordPoly`` per row at the end.
+``_struct_consts_oracle`` recomputes them independently in Q(q) by
 clearing q-factorials out of products of twisted powers, with an
 integrality assertion; it is only the reference the checks compare with.
 
@@ -26,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
-from .qarith import (LocScalar, ONE, ONE_SCALAR, QPoly, ZERO_SCALAR, is_decimal,
+from .qarith import (LocScalar, ONE, ONE_SCALAR, QPoly, is_decimal, json_fields,
                      q_binomial, q_binomial_pow, q_factorial, q_int_pow)
 from .coordring import (CoordPoly, DenseModule, SIDE_A, SIDE_APRIME,
                         SideMismatchError, SparseModule, accumulate, pullback_map)
@@ -85,12 +88,12 @@ class DPContext:
                 "qexp": self.qexp, "cap": self.cap}
 
     @classmethod
-    def from_json(cls, data):
-        ctx = cls(data["p"], data["m"], data["side"],
-                  data.get("qexp", 1), data.get("cap", DEFAULT_DEGREE_CAP))
-        if data["y_mode"] != "level":
+    def from_json(cls, data, path=""):
+        p, m, side, y_mode = json_fields(data, path, "p", "m", "side", "y_mode")
+        ctx = cls(p, m, side, data.get("qexp", 1), data.get("cap", DEFAULT_DEGREE_CAP))
+        if y_mode != "level":
             std = replace(ctx, m=0, qexp=ctx.twist).to_json()
-            raise ValueError(f'"y_mode" must be "level", got {data["y_mode"]!r}; the standard '
+            raise ValueError(f'"y_mode" must be "level", got {y_mode!r}; the standard '
                              f"algebra at this twist is the level 0 context {std}")
         return ctx
 
@@ -164,17 +167,19 @@ def to_twisted_basis(f, ctx):
 
 
 @lru_cache(maxsize=None)
-def _struct_consts_closed(n1, n2, k):
-    """Structure constants from the closed form, as pairs (i, QPoly).
+def _struct_consts_closed(n1, n2, k, qexp):
+    """Structure constants from the closed form, as pairs (i, LocScalar).
 
-    The y-power and the sign are left out: entry i carries
-    Q^(i(i-1)/2) C(n1, i)_Q C(n1+n2-i, n1)_Q with Q = q^k.
+    Entry i is the coefficient of x^i xi^[n1+n2-i], sign and y-power
+    included: Q^(i(i-1)/2) C(n1, i)_Q C(n1+n2-i, n1)_Q (q^qexp - 1)^i
+    with Q = q^k, since (-1)^i y^i = (q^qexp - 1)^i x^i.
     """
+    c = QPoly((0,) * qexp + (1,)) - ONE
     out = []
     for i in range(min(n1, n2) + 1):
         g = (q_binomial_pow(n1, i, k) * q_binomial_pow(n1 + n2 - i, n1, k)
              ).shifted(k * (i * (i - 1) // 2))
-        out.append((i, g))
+        out.append((i, LocScalar(g * c ** i)))
     return tuple(out)
 
 
@@ -204,9 +209,8 @@ def dp_structure_terms(ctx, n1, n2):
 
     Yields (index, CoordPoly coefficient) pairs.
     """
-    c = -ctx.y_scale()
-    for i, g in _struct_consts_closed(n1, n2, ctx.twist):
-        yield n1 + n2 - i, CoordPoly.monomial(g * c ** i, i, ctx.side)
+    for i, s in _struct_consts_closed(n1, n2, ctx.twist, ctx.qexp):
+        yield n1 + n2 - i, CoordPoly.monomial(s, i, ctx.side)
 
 
 def twisted_power_mul(n1, n2, ctx):
@@ -285,27 +289,30 @@ class DPElem(SparseModule):
 
     @classmethod
     def from_json(cls, data):
-        ctx = DPContext.from_json(data["ctx"])
-        terms = data["terms"]
+        ctx, terms = json_fields(data, "", "ctx", "terms")
+        ctx = DPContext.from_json(ctx, "ctx")
         if not isinstance(terms, dict) or not all(
                 is_decimal(n) and n == str(int(n)) for n in terms):
             raise ValueError(
                 f'"terms" must be an object keyed by canonical decimal strings: {terms!r:.80}')
-        return cls(ctx, {int(n): CoordPoly.from_json(c) for n, c in terms.items()})
+        return cls(ctx, {int(n): CoordPoly.from_json(c, f'terms["{n}"]')
+                         for n, c in terms.items()})
 
 
 def dp_mul(u, v):
-    """Product in the divided-power algebra, bilinear over the basis rule."""
+    """Product in the divided-power algebra, bilinear over the basis rule, summed
+    per (index, x-degree); indices keep the order of their first term."""
     u._check(v)
-    ctx, c = u.ctx, -u.ctx.y_scale()
-    out = {}
+    ctx, rows = u.ctx, {}
     for n1, c1 in u.terms.items():
         for n2, c2 in v.terms.items():
-            c12 = c1 * c2
-            for i, g in _struct_consts_closed(n1, n2, ctx.twist):   # c12 g c^i x^i
-                term = (ZERO_SCALAR,) * i + (c12 * (g * c ** i)).coeffs
-                accumulate(out, n1 + n2 - i, CoordPoly(term, ctx.side))
-    return DPElem(ctx, out)
+            c12 = (c1 * c2).coeffs
+            for i, s in _struct_consts_closed(n1, n2, ctx.twist, ctx.qexp):
+                row = rows.setdefault(n1 + n2 - i, {})
+                for d, a in enumerate(c12, i):
+                    if a:
+                        accumulate(row, d, a * s)
+    return DPElem(ctx, {n: CoordPoly.from_degrees(row, ctx.side) for n, row in rows.items()})
 
 
 def blowup(e, ctx):

@@ -178,16 +178,20 @@ def level_zero_ctx(p, side=SIDE_A, cap=DEFAULT_DEGREE_CAP):
 
 
 def _b_row_image(e, out_ctx, lift, row):
-    """sum_n lift(g_n, p) sum_{i=n..pn} row(n, i, p) x^(pn-i) e[i], e = sum_n g_n w[n]."""
+    """sum_n lift(g_n, p) sum_{i=n..pn} row(n, i, p) x^(pn-i) e[i], e = sum_n g_n w[n],
+    summed per (index i, x-degree) into one CoordPoly per index."""
     p = out_ctx.p
     out = {}
     for n, g in e.terms.items():
-        c = lift(g, p)
+        c = lift(g, p).coeffs
         for i in range(n, p * n + 1):
-            accumulate(out, i, CoordPoly.monomial(row(n, i, p), p * n - i, out_ctx.side) * c)
-            if out[i].is_zero():        # dropped as a DPElem sum drops it: same key order
+            b, acc = row(n, i, p), out.setdefault(i, {})
+            for d, a in enumerate(c, p * n - i):
+                if a:
+                    accumulate(acc, d, a * b)
+            if not any(acc.values()):   # dropped as a DPElem sum drops it: same key order
                 del out[i]
-    return DPElem(out_ctx, out)
+    return DPElem(out_ctx, {i: CoordPoly.from_degrees(r, out_ctx.side) for i, r in out.items()})
 
 
 def divided_frobenius(e):

@@ -292,6 +292,17 @@ def is_decimal(s):
     return type(s) is str and s.isascii() and s.removeprefix("-").isdigit()
 
 
+def json_fields(data, path, *keys):
+    """data[key] for each key, data being the JSON object at path ("" at
+    the root); a ValueError naming the path if it is no object or lacks a key."""
+    at = f"{path}: " if path else ""
+    if not isinstance(data, dict):
+        raise ValueError(f"{at}expected an object, got {type(data).__name__}")
+    if missing := [key for key in keys if key not in data]:
+        raise ValueError(f'{at}missing "{missing[0]}"')
+    return [data[key] for key in keys]
+
+
 def power(base, n, one):
     """base ** n by square-and-multiply; one is the unit of base's ring."""
     if n < 0:
@@ -732,8 +743,9 @@ class _Frac:
         return {"num": self.num.to_json(), "den": self.den.to_json()}
 
     @classmethod
-    def from_json(cls, data):
-        return cls(QPoly.from_json(data["num"]), QPoly.from_json(data["den"]))
+    def from_json(cls, data, path=""):
+        num, den = json_fields(data, path, "num", "den")
+        return cls(QPoly.from_json(num), QPoly.from_json(den))
 
 
 class LocScalar(_Frac):

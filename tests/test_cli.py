@@ -393,6 +393,39 @@ def test_frobenius_rejects_malformed_document(tmp_path, capsys, edit):
     assert err.startswith("error: not a divided-power document: ")
 
 
+def _level_minus_one_p3(edit):
+    with open(os.path.join(DATA, "level-minus-one-p3.json")) as f:
+        doc = json.load(f)
+    edit(doc)
+    return doc
+
+
+@pytest.mark.parametrize("command,doc,message", [
+    ("taylor", {"side": "A", "coeffs": [{"num": ["1"]}]},
+     'not a coordinate-polynomial document: coeffs[0]: missing "den"'),
+    ("taylor", {"side": "A", "coeffs": ["1"]},
+     "not a coordinate-polynomial document: coeffs[0]: expected an object, got str"),
+    ("taylor", {"side": "A", "coeffs": {"0": {"num": ["1"], "den": ["1"]}}},
+     "not a coordinate-polynomial document: coeffs: expected an array, got dict"),
+    ("taylor", [{"num": ["1"], "den": ["1"]}],
+     "not a coordinate-polynomial document: expected an object, got list"),
+    ("frobenius", _level_minus_one_p3(lambda d: d["ctx"].pop("y_mode")),
+     'not a divided-power document: ctx: missing "y_mode"'),
+    ("frobenius", _level_minus_one_p3(lambda d: d.update(ctx=[3, 1])),
+     "not a divided-power document: ctx: expected an object, got list"),
+    ("frobenius", _level_minus_one_p3(lambda d: d["terms"]["1"]["coeffs"][1].pop("den")),
+     'not a divided-power document: terms["1"].coeffs[1]: missing "den"'),
+    ("frobenius", _level_minus_one_p3(lambda d: d.pop("terms")),
+     'not a divided-power document: missing "terms"'),
+], ids=["coefficient-without-den", "coefficient-string", "coeffs-object", "document-array",
+        "ctx-without-y-mode", "ctx-array", "term-coefficient-without-den", "no-terms"])
+def test_malformed_document_error_names_the_path(tmp_path, capsys, command, doc, message):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, str(path), "--p", "3")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_frobenius_rejects_repeated_key(tmp_path, capsys):
     # json.load keeps the last of two equal keys; the document must not name an index twice
     with open(os.path.join(DATA, "level-minus-one-p3.json")) as f:

@@ -1,11 +1,12 @@
 import itertools
+import json
 import random
 
 import pytest
 
-from qtwist.qarith import ONE, QPoly, Q, q_factorial, q_int, random_locscalar
-from qtwist.coordring import CoordPoly, SIDE_A, SIDE_APRIME
-from qtwist.divpow import (DegreeCapError, DPContext, DPElem, XiPoly,
+from qtwist.qarith import ONE, QPoly, Q, q_binomial_pow, q_factorial, q_int, random_locscalar
+from qtwist.coordring import CoordPoly, SIDE_A, SIDE_APRIME, accumulate
+from qtwist.divpow import (DegreeCapError, DPContext, DPElem, XiPoly, _struct_consts_closed,
                            _struct_consts_oracle, blowup, dp_structure_terms,
                            frobenius_base_change, to_twisted_basis,
                            twisted_power_expand, twisted_power_mul)
@@ -102,6 +103,62 @@ def test_dp_mul_is_bilinear_over_the_structure_terms(p, m, mode):
             for n, s in dp_structure_terms(ctx, n1, n2):
                 ref = ref + DPElem.basis(ctx, n, c1 * c2 * s)
         assert u * v == ref
+
+
+def _dp_mul_by_terms(u, v):
+    """u v as one CoordPoly per (term pair, i), summed by CoordPoly addition,
+    with the field oracle's constants times the sign and the y-power."""
+    ctx = u.ctx
+    k, c = ctx.twist, -ctx.y_scale()
+    out = {}
+    for n1, c1 in u.terms.items():
+        for n2, c2 in v.terms.items():
+            for i, g in _struct_consts_oracle(n1, n2):
+                term = CoordPoly.monomial(g.stretch(k) * c ** i, i, ctx.side) * (c1 * c2)
+                accumulate(out, n1 + n2 - i, term)
+    return DPElem(ctx, out)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_dp_mul_matches_the_term_by_term_product_bytes_and_key_order(p):
+    rng = random.Random(100 + p)
+    for ctx in (DPContext(p, 1), DPContext(p, 0, qexp=p), DPContext(p, 0, SIDE_APRIME, p)):
+        def rand_elem():
+            return DPElem(ctx, {n: CoordPoly([random_locscalar(rng, p, 2, 5)
+                                              for _ in range(rng.randint(1, 3))], ctx.side)
+                                for n in rng.sample(range(5), 3)})
+
+        pairs = [(rand_elem(), rand_elem()) for _ in range(4)]
+        # index 2 of w[1] (a x w[1] + b w[2]) cancels when a s(1,1,0) + b s(1,2,1) = 0
+        s110 = dict(dp_structure_terms(ctx, 1, 1))[2].coeffs[0]
+        s121 = dict(dp_structure_terms(ctx, 1, 2))[2].coeffs[1]
+        cancelling = (DPElem.basis(ctx, 1),
+                      DPElem(ctx, {1: CoordPoly.monomial(s121, 1, ctx.side), 2: -s110}))
+        assert 2 not in (cancelling[0] * cancelling[1]).terms
+        for u, v in pairs + [cancelling]:
+            got, ref = u * v, _dp_mul_by_terms(u, v)
+            assert json.dumps(got.to_json()) == json.dumps(ref.to_json())
+
+
+def _basis_product_by_closed_form(ctx, n1, n2):
+    """xi^[n1] xi^[n2] with each constant formed here from q-binomials and y."""
+    k, c = ctx.twist, -ctx.y_scale()
+    return DPElem(ctx, {n1 + n2 - i: CoordPoly.monomial(
+        (q_binomial_pow(n1, i, k) * q_binomial_pow(n1 + n2 - i, n1, k))
+        .shifted(k * (i * (i - 1) // 2)) * c ** i, i, ctx.side)
+        for i in range(min(n1, n2) + 1)})
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_one_twist_with_two_y_scales_shares_no_structure_constants(p):
+    # level -1 (qexp 1) and the standard algebra at q^p (qexp p) have the same twist q^p
+    lvl, std = DPContext(p, 1), DPContext(p, 0, qexp=p)
+    assert lvl.twist == std.twist and lvl.y_scale() != std.y_scale()
+    _struct_consts_closed.cache_clear()
+    for n1, n2 in itertools.product(range(5), repeat=2):
+        for ctx in ((lvl, std) if (n1 + n2) % 2 else (std, lvl)):
+            product = DPElem.basis(ctx, n1) * DPElem.basis(ctx, n2)
+            assert product == _basis_product_by_closed_form(ctx, n1, n2), (ctx, n1, n2)
 
 
 @pytest.mark.parametrize("p,m", [(2, 0), (2, 1), (3, 1)])

@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 from math import prod
@@ -8,8 +9,9 @@ from qtwist import frobdiv
 from qtwist.qarith import (LocScalar, ONE, QPoly, Q, cyclotomic,
                            divide_by_cyclotomic_product, is_unit, q_factorial,
                            q_factorial_cyclotomic_exponents, q_int, random_locscalar)
-from qtwist.coordring import (BiCoordPoly, CoordPoly, SIDE_A, SIDE_APRIME, phi_abs,
-                              tensor_diagonal_generator, tensor_embed_left)
+from qtwist.coordring import (BiCoordPoly, CoordPoly, SIDE_A, SIDE_APRIME, accumulate,
+                              phi_abs, rel_frobenius, tensor_diagonal_generator,
+                              tensor_embed_left)
 from qtwist.divpow import (DPContext, DPElem, XiPoly, to_twisted_basis,
                            twisted_power_expand)
 from qtwist.frobdiv import (FrobCoeffTable, MembershipError, coeff_a, coeff_b,
@@ -199,6 +201,47 @@ def test_divided_frobenius_multiplicative(p):
         for n2 in range(4 - n1):
             u, v = DPElem.basis(ctx, n1), DPElem.basis(ctx, n2)
             assert divided_frobenius(u * v) == divided_frobenius(u) * divided_frobenius(v)
+
+
+def _b_row_image_by_terms(e, out_ctx, lift, row):
+    """The b-row image as one monomial product per (n, i), summed by CoordPoly
+    addition; an index whose sum cancels is dropped and, if it comes back,
+    goes to the end."""
+    p = out_ctx.p
+    out = {}
+    for n, g in e.terms.items():
+        c = lift(g, p)
+        for i in range(n, p * n + 1):
+            accumulate(out, i, CoordPoly.monomial(row(n, i, p), p * n - i, out_ctx.side) * c)
+            if out[i].is_zero():
+                del out[i]
+    return DPElem(out_ctx, out)
+
+
+def test_divided_frobenius_keeps_the_key_order_of_a_cancelled_index():
+    # x' b(3,4) w[2] - b(2,4) w[3] cancels at index 4 after n = 3; w[4] brings it back
+    ctx = level_minus_one_ctx(2, SIDE_APRIME)
+    e = DPElem(ctx, {2: CoordPoly.monomial(coeff_b(3, 4, 2), 1, SIDE_APRIME),
+                     3: CoordPoly(-coeff_b(2, 4, 2), SIDE_APRIME),
+                     4: CoordPoly(1, SIDE_APRIME)})
+    assert list(divided_frobenius(e).to_json()["terms"]) == ["2", "3", "5", "6", "4", "7", "8"]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_b_row_images_match_the_term_by_term_sums_bytes_and_key_order(p):
+    rng = random.Random(200 + p)
+    cap = 4 * p
+    maps = ((SIDE_APRIME, divided_frobenius, rel_frobenius, coeff_b, level_zero_ctx(p, cap=cap)),
+            (SIDE_A, phi_std, phi_abs, lambda n, i, p: coeff_b(n, i, p).subs_qpow(p),
+             DPContext(p, 0, SIDE_A, p, cap)))
+    for _ in range(4):
+        for side, fn, lift, row, out_ctx in maps:
+            e = DPElem(level_minus_one_ctx(p, side, cap),
+                       {n: CoordPoly([random_locscalar(rng, p, 2, 5)
+                                      for _ in range(rng.randint(1, 3))], side)
+                        for n in rng.sample(range(5), 3)})
+            got, ref = fn(e), _b_row_image_by_terms(e, out_ctx, lift, row)
+            assert json.dumps(got.to_json()) == json.dumps(ref.to_json())
 
 
 # ---------------------------------------------------------------------------

@@ -115,10 +115,14 @@ def _json(obj, indent="\n"):
     inner = indent + "  "
     if t is dict:
         items = [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in obj.items()]
-    elif all(type(v) is str for v in obj):
-        items = map(encode_basestring_ascii, obj)
     else:
-        items = [_json(v, inner) for v in obj]
+        try:                            # strings with nothing to escape go in as they are
+            text = "".join(obj)
+            plain = text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
+            items = ['"' + ('",' + inner + '"').join(obj) + '"'] if plain else map(
+                encode_basestring_ascii, obj)
+        except TypeError:               # not all strings
+            items = [_json(v, inner) for v in obj]
     left, right = "{}" if t is dict else "[]"
     return left + inner + ("," + inner).join(items) + indent + right
 

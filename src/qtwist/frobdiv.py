@@ -44,7 +44,7 @@ from collections import Counter
 from functools import lru_cache
 from math import prod
 
-from .qarith import (LocScalar, NotDivisibleError, ONE, QPoly, _divisors,
+from .qarith import (LocScalar, NotDivisibleError, ONE, QPoly, _divisors, _kron_pack,
                      cyclotomic, divide_by_cyclotomic_product, divide_exact, is_unit,
                      q_binomial, q_binomial_pow, q_factorial,
                      q_factorial_cyclotomic_exponents, q_int)
@@ -115,12 +115,6 @@ def coeff_b(n, i, p):
     return b
 
 
-def leading_coeff_product(n, p):
-    """The closed product form of b(n, pn): prod (kp - j)_q, a unit."""
-    return LocScalar(prod((q_int(k * p - j) for k in range(1, n + 1) for j in range(1, p)),
-                          start=ONE))
-
-
 class FrobCoeffTable:
     """Lazily filled table of (a, b) coefficient pairs for one prime.
 
@@ -143,24 +137,41 @@ class FrobCoeffTable:
     def validate(self):
         """Check membership, the defining identity, and the top coefficient.
 
-        Every value is pinned by cross-multiplication against its defining
-        fraction: b * (n)_{q^p}! (p)_q^n = (i)_q! a(n, i), checked with
-        plain polynomial products, independent of the reduction pipeline.
-        """
+        As (k)_{q^p} (p)_q = (kp)_q and Z[q] is a domain, cancelling the (kp)_q,
+        kp <= i, from (i)_q! turns b (n)_{q^p}! (p)_q^n = (i)_q! a(n, i) into
+        b.num prod_{i<kp<=pn} (kp)_q = b.den a(n, i) prod_{j<=i, p!|j} (j)_q, whose
+        right-hand product at i = pn is b(n, pn)'s closed form.  Both sides are
+        compared at q = X = 256^w.  A q-integer product's 1-norm is its value at
+        q = 1 (its coefficients are nonnegative), and X > 2B, B the bound on every
+        coefficient this gives, makes that exact: the top digit of a nonzero
+        difference outweighs the rest.  X comes from the operands, so no fault
+        can be built to vanish there."""
         p = self.p
         for n in range(self.n_max + 1):
-            prefactor = q_factorial(n).stretch(p) * q_int(p) ** n
-            for i in range(n, p * n + 1):
-                b = coeff_b(n, i, p)           # raises on membership failure
-                lhs = b.num * prefactor
-                rhs = b.den * q_factorial(i) * coeff_a(n, i, p)
-                if lhs != rhs:
-                    raise MembershipError(
-                        f"b({n},{i}) fails its defining identity")
-            top = coeff_b(n, p * n, p)
-            if top != leading_coeff_product(n, p):
+            span = range(n, p * n + 1)
+            row = [(b, coeff_a(n, i, p).coeffs) for i, b in zip(span, _b_row(n, p))]
+            bound = max((max(max(map(abs, b.num.coeffs), default=0)
+                             * prod(range(p * (i // p + 1), p * n + 1, p)),
+                             max(map(abs, b.den.coeffs)) * max(sum(map(abs, a)), 1)
+                             * prod(j for j in range(1, i + 1) if j % p))
+                         for i, (b, a) in zip(span, row) if not isinstance(b, MembershipError)),
+                        default=0)
+            w = 1 + bound.bit_length() // 8           # X = 256^w > 2B
+            one = b"\x01" + bytes(w - 1)               # (k)_X is the integer of one * k
+            ups = [1]                                  # ups[t]: the top t (kp)_X
+            for k in range(n, 0, -1):
+                ups.append(ups[-1] * int.from_bytes(one * (k * p), "little"))
+            down = prod((int.from_bytes(one * j, "little") for j in range(1, n) if j % p), start=1)
+            for i, (b, a) in zip(span, row):
+                if isinstance(b, MembershipError):
+                    raise MembershipError(*b.args)
+                down *= int.from_bytes(one * i, "little") if i % p else 1
+                num = _kron_pack(b.num.coeffs, w)
+                if num * ups[n - i // p] != _kron_pack(b.den.coeffs, w) * _kron_pack(a, w) * down:
+                    raise MembershipError(f"b({n},{i}) fails its defining identity")
+            if b.den != ONE or num != down:
                 raise MembershipError(f"b({n},{p * n}) != closed product")
-            if n and not is_unit(top, p):
+            if n and not is_unit(b, p):
                 raise MembershipError(f"b({n},{p * n}) is not a unit")
         return True
 

@@ -11,7 +11,8 @@ Kronecker substitution (Kronecker 1882; Harvey, J. Symb. Comput. 2009)
 packs each into one integer at q = X = 256^w, multiplies the two once
 and reads the product's coefficients off its signed base-X digits.  w is
 rounded up to 1, 2, 4 or 8 bytes where that fits, so that the digits
-convert through an ``array`` in C; up to 4 terms pack faster by shifts.
+convert through an ``array`` in C, and wider ones through 8-byte limbs;
+up to 4 terms pack faster by shifts.
 
 Exact division a / b with ``DIVISION_CUTOFF`` (32) or more terms in a is
 one integer ``divmod`` at such an X, 8w >= bits(a) + bits(|b|_1) + 2
@@ -58,6 +59,8 @@ from array import array
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
+from operator import add, lshift, rshift
 
 
 class NotDivisibleError(ArithmeticError):
@@ -149,12 +152,29 @@ def _kron_pack(a, w):
 def _kron_unpack(x, w, m):
     """The m signed base-256^w digits of x, each in [-256^w / 2, 256^w / 2),
     or OverflowError.  Adding 256^w / 2 to every digit makes the bytes
-    carry-free; array items flip each top bit back, wider digits subtract it."""
+    carry-free, and flipping each top bit back leaves two's complements.  Wider
+    digits are read by 8-byte limbs from the top (signed) down, one slice per
+    byte gathering a limb of every digit, and one shift and add joining it."""
     o = int.from_bytes((bytes(w - 1) + b"\x80") * m, "little")
+    s = ((x + o) ^ o).to_bytes(w * m, "little")
     if w in _ITEM_CODES:
-        return array(_ITEM_CODES[w], ((x + o) ^ o).to_bytes(w * m, "little")).tolist()
-    s, h = (x + o).to_bytes(w * m, "little"), 1 << (8 * w - 1)
-    return [int.from_bytes(s[i:i + w], "little") - h for i in range(0, w * m, w)]
+        return array(_ITEM_CODES[w], s).tolist()
+    out, e = None, w                    # bytes e - b .. e - 1 of each digit go next
+    while e:
+        b = min(e, 8)
+        at = 8 - b if out is None else 0        # the top limb fills a signed item's top
+        limb = bytearray(8 * m)
+        for j in range(b):
+            limb[at + j::8] = s[e - b + j::w]
+        limb = array("q" if out is None else "Q", limb)
+        if sys.byteorder == "big":
+            limb.byteswap()
+        if out is not None:
+            out = list(map(add, map(lshift, out, repeat(8 * b)), limb))
+        else:
+            out = list(map(rshift, limb, repeat(8 * at))) if at else limb.tolist()
+        e -= b
+    return out
 
 
 def _mul_kronecker(a, b):
@@ -477,10 +497,11 @@ class QPoly:
         return [str(c) for c in self.coeffs]
 
     @classmethod
-    def from_json(cls, data):
+    def from_json(cls, data, path=""):
         if not isinstance(data, list) or not all(
                 type(c) is int or is_decimal(c) for c in data):
-            raise ValueError(f"a q-polynomial is an array of decimal strings, got {data!r}")
+            raise ValueError(f"{path}: " * bool(path)
+                             + f"a q-polynomial is an array of decimal strings, got {data!r}")
         return cls([int(c) for c in data])
 
 
@@ -745,7 +766,8 @@ class _Frac:
     @classmethod
     def from_json(cls, data, path=""):
         num, den = json_fields(data, path, "num", "den")
-        return cls(QPoly.from_json(num), QPoly.from_json(den))
+        at = f"{path}." if path else ""
+        return cls(QPoly.from_json(num, at + "num"), QPoly.from_json(den, at + "den"))
 
 
 class LocScalar(_Frac):

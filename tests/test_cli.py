@@ -5,7 +5,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qtwist
@@ -280,6 +280,20 @@ def test_taylor_rejects_zero_denominator(tmp_path, capsys):
     assert "zero denominator" in err
 
 
+@pytest.mark.parametrize("coeff,message", [
+    ({"num": "12", "den": ["1"]},
+     "coeffs[0].num: a q-polynomial is an array of decimal strings, got '12'"),
+    ({"num": ["1"], "den": ["1", "x"]},
+     "coeffs[0].den: a q-polynomial is an array of decimal strings, got ['1', 'x']"),
+])
+def test_taylor_names_the_malformed_q_polynomial(tmp_path, capsys, coeff, message):
+    doc = tmp_path / "malformed.json"
+    doc.write_text(json.dumps({"side": "A", "coeffs": [coeff]}))
+    code, out, err = run(capsys, "taylor", str(doc), "--p", "2")
+    assert (code, out) == (2, "")
+    assert err == f"error: not a coordinate-polynomial document: {message}\n"
+
+
 def test_frobenius_rejects_negative_index(tmp_path, capsys):
     doc_json = DPElem.basis(level_minus_one_ctx(2, SIDE_APRIME), 1).to_json()
     doc_json["terms"] = {"-1": doc_json["terms"]["1"]}
@@ -468,7 +482,16 @@ JSON_VALUES = st.recursive(
     max_leaves=30)
 
 
-@given(JSON_VALUES)
+@given(JSON_VALUES | st.lists(st.from_regex(r"-?[0-9]{1,30}", fullmatch=True), max_size=6))
+@example(["12", "-3", ""])
+@example(["1", "\x7f"])
+@example(["a", '"', "b"])
+@example(["\\", "x"])
+@example(["\x00", "\x1f", "\n\t", "ok"])
+@example(["é", "\u2028", "😀", "ok"])
+@example(["1", 2, "3"])
+@example([1, "2"])
+@example({"num": ["1", "2"], "den": [["1"], [], [2, "x"]]})
 @settings(max_examples=300, deadline=None)
 def test_json_writer_matches_indented_json_dumps(obj):
     assert _json(obj) == json.dumps(obj, indent=2)

@@ -17,7 +17,7 @@ from qtwist.divpow import (DPContext, DPElem, XiPoly, to_twisted_basis,
 from qtwist.frobdiv import (FrobCoeffTable, MembershipError, coeff_a, coeff_b,
                             delta_dp, delta_iterates,
                             divided_frobenius, envelope_basis_check,
-                            leading_coeff_product, level_minus_one_ctx,
+                            level_minus_one_ctx,
                             level_zero_ctx, phi_dp, phi_level_zero, phi_std,
                             symmetric_delta_xi, symmetric_phi_xi,
                             u_apply, u_closed_formula, u_consistency_check,
@@ -143,6 +143,29 @@ def test_coeff_b_rows_do_not_depend_on_the_query_order(p, order):
         assert (got.num, got.den) == (ref.num, ref.den), (n, i)
 
 
+def leading_coeff_product(n, p):
+    """The closed product form of b(n, pn): prod (kp - j)_q, a unit."""
+    return LocScalar(prod((q_int(k * p - j) for k in range(1, n + 1) for j in range(1, p)),
+                          start=ONE))
+
+
+def validate_reference(p, n_max):
+    """The cross-multiplication b (n)_{q^p}! (p)_q^n = (i)_q! a(n, i) with full
+    q-polynomial products, and the top coefficient against its closed product."""
+    for n in range(n_max + 1):
+        prefactor = q_factorial(n).stretch(p) * q_int(p) ** n
+        for i in range(n, p * n + 1):
+            b = coeff_b(n, i, p)           # raises on membership failure
+            if b.num * prefactor != b.den * q_factorial(i) * coeff_a(n, i, p):
+                raise MembershipError(f"b({n},{i}) fails its defining identity")
+        top = coeff_b(n, p * n, p)
+        if top != leading_coeff_product(n, p):
+            raise MembershipError(f"b({n},{p * n}) != closed product")
+        if n and not is_unit(top, p):
+            raise MembershipError(f"b({n},{p * n}) is not a unit")
+    return True
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_top_coefficient_product_and_unit(p):
     for n in range(5):
@@ -150,6 +173,75 @@ def test_top_coefficient_product_and_unit(p):
         assert top == leading_coeff_product(n, p)
         if n:
             assert is_unit(top, p)
+
+
+@pytest.mark.parametrize("p,n_max", [(2, 8), (3, 8), (5, 8), (7, 6)])
+def test_validate_agrees_with_the_cross_multiplication(p, n_max):
+    assert FrobCoeffTable(p, n_max).validate() is True
+    assert validate_reference(p, n_max) is True
+
+
+def _planted(monkeypatch, n, i, fault):
+    """_b_row with fault(b) in place of the entry b(n, i), at every p."""
+    honest = frobdiv._b_row
+
+    def row(m, p):
+        r = honest(m, p)
+        return r if m != n else r[:i - n] + (fault(r[i - n]),) + r[i - n + 1:]
+    monkeypatch.setattr(frobdiv, "_b_row", row)
+
+
+def _plus_num(b, extra):
+    return LocScalar._from_pair((b.num + QPoly(extra)).coeffs, b.den.coeffs)
+
+
+def test_validate_names_an_entry_off_by_a_monomial(monkeypatch):
+    _planted(monkeypatch, 6, 9, lambda b: _plus_num(b, (0, 0, 1)))
+    with pytest.raises(MembershipError, match=r"^b\(6,9\) fails its defining identity$"):
+        FrobCoeffTable(5, 6).validate()
+
+
+@pytest.mark.parametrize("w", range(1, 33))
+def test_validate_names_a_fault_that_vanishes_at_a_fixed_point(monkeypatch, w):
+    # +(q - 256^w) q^2 vanishes at q = 256^w, the point the honest row is
+    # checked at for one of these w; the point must come from the operands
+    _planted(monkeypatch, 6, 9, lambda b: _plus_num(b, (0, 0, -256 ** w, 1)))
+    with pytest.raises(MembershipError, match=r"^b\(6,9\) fails its defining identity$"):
+        FrobCoeffTable(5, 6).validate()
+
+
+def test_validate_names_a_wrong_top_coefficient(monkeypatch):
+    _planted(monkeypatch, 3, 15, lambda b: _plus_num(b, (0, 0, 1)))
+    with pytest.raises(MembershipError, match=r"^b\(3,15\) fails its defining identity$"):
+        FrobCoeffTable(5, 3).validate()
+
+
+def test_validate_names_a_top_coefficient_with_a_stray_denominator(monkeypatch):
+    # the same value over 1 + q: the identity holds, the closed form does not
+    _planted(monkeypatch, 3, 15,
+             lambda b: LocScalar._from_pair((b.num * q_int(2)).coeffs, q_int(2).coeffs))
+    with pytest.raises(MembershipError, match=r"^b\(3,15\) != closed product$"):
+        FrobCoeffTable(5, 3).validate()
+
+
+def test_validate_names_a_top_coefficient_off_the_closed_product(monkeypatch):
+    # b(3, 15) and a(3, 15) both doubled: the identity holds, the closed form does not
+    _planted(monkeypatch, 3, 15, lambda b: b * 2)
+    honest_a = frobdiv.coeff_a
+    monkeypatch.setattr(frobdiv, "coeff_a",
+                        lambda n, i, p: honest_a(n, i, p) * (2 if (n, i) == (3, 15) else 1))
+    with pytest.raises(MembershipError, match=r"^b\(3,15\) != closed product$"):
+        FrobCoeffTable(5, 3).validate()
+
+
+def test_validate_raises_the_first_failure_along_the_row(monkeypatch):
+    miss = MembershipError("b(6,12) has non-unit denominator 5 at p=5")
+    _planted(monkeypatch, 6, 12, lambda b: miss)
+    with pytest.raises(MembershipError, match=r"^b\(6,12\) has non-unit denominator"):
+        FrobCoeffTable(5, 6).validate()
+    _planted(monkeypatch, 6, 9, lambda b: _plus_num(b, (1,)))   # on top of the first
+    with pytest.raises(MembershipError, match=r"^b\(6,9\) fails its defining identity$"):
+        FrobCoeffTable(5, 6).validate()
 
 
 def test_table_validate():

@@ -411,6 +411,34 @@ def test_kronecker_digits_at_the_extremes(w):
         assert _kron_pack(a, w) == sum(c << (8 * w * i) for i, c in enumerate(a))
 
 
+def kron_unpack_by_digits(x, w, m):
+    """The m signed base-256^w digits of x, one int.from_bytes per digit."""
+    o = int.from_bytes((bytes(w - 1) + b"\x80") * m, "little")
+    s, h = (x + o).to_bytes(w * m, "little"), 1 << (8 * w - 1)
+    return [int.from_bytes(s[i:i + w], "little") - h for i in range(0, w * m, w)]
+
+
+@st.composite
+def wide_digits(draw):
+    w = draw(st.integers(9, 26))
+    h = 1 << (8 * w - 1)
+    digit = st.one_of(st.sampled_from([-h, h - 1, -1, 0, 1]), st.integers(-h, h - 1))
+    return w, draw(st.lists(digit, min_size=1, max_size=40))
+
+
+@given(wide_digits())
+@settings(max_examples=300, deadline=None)
+def test_wide_digits_unpack_as_the_per_digit_loop_does(wd):
+    w, digits = wd
+    x = _kron_pack(digits, w)
+    assert _kron_unpack(x, w, len(digits)) == kron_unpack_by_digits(x, w, len(digits)) == digits
+    # one digit more than m is an overflow, whichever its sign
+    h = 1 << (8 * w - 1)
+    for top in (1, -1, h - 1, -h):
+        with pytest.raises(OverflowError):
+            _kron_unpack(x + (top << (8 * w * len(digits))), w, len(digits))
+
+
 @pytest.mark.parametrize("bits", [1, 4, 60, 63, 64, 200])
 @pytest.mark.parametrize("n", [24, 127, 255])
 def test_kronecker_coefficients_at_the_bound(bits, n):

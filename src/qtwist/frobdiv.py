@@ -35,7 +35,13 @@ one by an exact division.
 The diagonal map u: xi -> x2 - x1 into A tensor_{A'} A sends the level 0
 twisted power prod_{i<n} (xi + (i)_q (1 - q) x) to the q-Pochhammer
 product prod_{i<n} (x2 - q^i x1), since (i)_q (1 - q) = 1 - q^i; the
-image at n is the one at n - 1 times x2 - q^(n-1) x1.
+image at n is the one at n - 1 times x2 - q^(n-1) x1.  Twisted powers
+are thus a Newton basis, so on e = sum c_n xi^[n] with top index N,
+Horner's rule sums (N)_q! u(e) = sum c_n (N)_q!/(n)_q! u(xi^n) with no
+division, and one division by (N)_q!, a nonzerodivisor on the free
+target, gives u(e).  As cyclotomic(d) at q = 1 is l for d = l^k and 1 for
+other d > 1, c/(n)_q! with c in Z[q] lies in the localization iff c is
+divisible by prod_{k>=1} cyclotomic(p^k)^(n // p^k).
 """
 
 from __future__ import annotations
@@ -395,39 +401,36 @@ def v_basis_triangular(n_max, p):
 # the map into A tensor_{A'} A
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=1)      # the last image: u_of_divided_power asks for n in rising order
-def u_of_twisted_power(n, p):
-    """Image of the n-th twisted power under xi -> 1 tensor x - x tensor 1.
+def _u_factor(i, p):
+    """x2 - q^i x1, the image of the level 0 factor xi + (i)_q (1 - q) x."""
+    return BiCoordPoly(p, {(0, 1): 1, (1, 0): QPoly((0,) * i + (-1,))})
 
-    The level 0 factor xi + (i)_q (1 - q) x maps to x2 - q^i x1, since
-    (i)_q (1 - q) = 1 - q^i: the image is prod_{i<n} (x2 - q^i x1), the
-    image at n - 1 times x2 - q^(n-1) x1.
-    """
+
+@lru_cache(maxsize=None)
+def u_of_twisted_power(n, p):
+    """Image prod_{i<n} (x2 - q^i x1) of the n-th twisted power under
+    xi -> 1 tensor x - x tensor 1.  Raises MembershipError unless each
+    coefficient over (n)_q! lies in the localization (module docstring)."""
     if n <= 0:
         return BiCoordPoly(p, {(0, 0): 1})
-    return u_of_twisted_power(n - 1, p) * BiCoordPoly(
-        p, {(0, 1): 1, (1, 0): QPoly((0,) * (n - 1) + (-1,))})
+    img = u_of_twisted_power(n - 1, p) * _u_factor(n - 1, p)
+    den, d = ONE, p
+    while d <= n:
+        den, d = den * cyclotomic(d) ** (n // d), d * p
+    for c in img.terms.values():
+        try:
+            c.num.divexact(den)
+        except NotDivisibleError:     # divided in full only to name the denominator
+            c = divide_by_cyclotomic_product(c, q_factorial_cyclotomic_exponents(n))
+            raise MembershipError(
+                f"u on divided power {n} leaves the localization: {c.den}") from None
+    return img
 
 
 @lru_cache(maxsize=None)
 def u_of_divided_power(n, p):
-    """Image of the n-th divided power, by clearing the q-factorial.
-
-    The target is free over the base, so the divided image is the unique
-    solution of (n)_q! * u = image of the twisted power; every coefficient
-    must land in the localization (MembershipError otherwise).
-    """
-    img = u_of_twisted_power(n, p)
-    factors = q_factorial_cyclotomic_exponents(n)
-
-    def div(c):
-        out = divide_by_cyclotomic_product(c, factors)
-        if not out.in_localization(p):
-            raise MembershipError(
-                f"u on divided power {n} leaves the localization: {out.den}")
-        return out
-
-    return img.map_coeffs(div)
+    """Image of the n-th divided power: u_apply on that basis element."""
+    return u_apply(DPElem.basis(level_zero_ctx(p, cap=max(n, DEFAULT_DEGREE_CAP)), n))
 
 
 def u_closed_formula(p):
@@ -453,15 +456,21 @@ def u_closed_formula(p):
 
 
 def u_apply(e):
-    """Extend the diagonal map to a level 0 divided-power element over A."""
+    """Extend the diagonal map to a level 0 divided-power element over A:
+    acc = acc (x2 - q^n x1) + c_n (N)_q!/(n)_q! from n = N down to 0 is
+    (N)_q! u(e) (module docstring), divided by (N)_q! once."""
     ctx = e.ctx
     if ctx != level_zero_ctx(ctx.p, cap=ctx.cap):
         raise ValueError("u_apply expects level 0 over A")
-    p = ctx.p
-    out = BiCoordPoly(p)
-    for n, c in e.terms.items():
-        out = out + tensor_embed_left(c, p) * u_of_divided_power(n, p)
-    return out
+    p, top = ctx.p, max(e.terms, default=0)
+    for n in range(top + 1):            # membership of each divided image up to top
+        u_of_twisted_power(n, p)
+    acc, w = BiCoordPoly(p), ONE
+    for n in range(top, -1, -1):
+        acc = acc * _u_factor(n, p) + tensor_embed_left(e.coeff(n) * w, p)
+        w = w * q_int(n)
+    factors = q_factorial_cyclotomic_exponents(top)
+    return acc.map_coeffs(lambda c: divide_by_cyclotomic_product(c, factors))
 
 
 def u_consistency_check(p, n_cap=None):

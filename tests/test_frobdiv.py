@@ -521,7 +521,7 @@ def test_u_of_twisted_power_matches_xi_expansion(p):
             ref = ref * gen + tensor_embed_left(c, p)
         refs.append(ref)
         assert u_of_twisted_power(n, p) == ref
-    u_of_twisted_power.cache_clear()        # each image from the one before, queried top down
+    u_of_twisted_power.cache_clear()        # the top query fills the memo with every image below
     for n in reversed(range(len(refs))):
         assert u_of_twisted_power(n, p) == refs[n]
 
@@ -543,9 +543,85 @@ def test_u_consistency_report(p):
 
 def test_u_respects_multiplication():
     # u is a ring map: compare products through the divided images
-    p = 2
+    for p in (2, 3, 5):
+        rng = random.Random(p)
+        ctx0 = level_zero_ctx(p)
+        frac = CoordPoly([random_locscalar(rng, p), random_locscalar(rng, p)])
+        for a, b in ((DPElem.basis(ctx0, 1), DPElem.basis(ctx0, 2)),
+                     (DPElem.basis(ctx0, 1, frac), DPElem.basis(ctx0, p))):
+            assert u_apply(a * b) == u_apply(a) * u_apply(b), p
+
+
+def _divide_reference(img, n, p):
+    """Each coefficient of img divided by (n)_q!, checked to lie in the localization."""
+    factors = q_factorial_cyclotomic_exponents(n)
+
+    def div(c):
+        out = divide_by_cyclotomic_product(c, factors)
+        if not out.in_localization(p):
+            raise MembershipError(
+                f"u on divided power {n} leaves the localization: {out.den}")
+        return out
+
+    return img.map_coeffs(div)
+
+
+def u_apply_reference(e):
+    """u(e) as the sum of c_n tensor u(xi^[n]) over the divided images."""
+    p = e.ctx.p
+    out = BiCoordPoly(p)
+    for n, c in e.terms.items():
+        out = out + tensor_embed_left(c, p) * _divide_reference(u_of_twisted_power(n, p), n, p)
+    return out
+
+
+@pytest.mark.parametrize("p, top", [(2, 4), (3, 6), (5, 10), (7, 8)])
+def test_u_apply_matches_reference_on_basis(p, top):
     ctx0 = level_zero_ctx(p)
-    a, b = DPElem.basis(ctx0, 1), DPElem.basis(ctx0, 2)
-    lhs = u_apply(a * b)
-    rhs = u_apply(a) * u_apply(b)
-    assert lhs == rhs
+    for n in range(top + 1):
+        e = DPElem.basis(ctx0, n)
+        assert u_apply(e) == u_apply_reference(e), (p, n)
+    assert u_apply(DPElem(ctx0)).is_zero() and u_apply_reference(DPElem(ctx0)).is_zero()
+
+
+@pytest.mark.parametrize("p, top", [(2, 6), (3, 7), (5, 10), (7, 8)])
+def test_u_apply_matches_reference_on_fractional_elements(p, top):
+    # x-dependent coefficients with unit denominators, gaps in the indices, index 0 in half
+    rng = random.Random(100 + p)
+    ctx0 = level_zero_ctx(p)
+    for trial in range(4):
+        idx = rng.sample(range(1, top + 1), 3) + [0] * (trial % 2)
+        e = DPElem(ctx0, {n: CoordPoly([random_locscalar(rng, p, 2, 5) for _ in range(3)])
+                          for n in idx})
+        assert any(not c.is_polynomial() for f in e.terms.values() for c in f.coeffs)
+        assert u_apply(e) == u_apply_reference(e), (p, sorted(e.terms))
+
+
+def _planted_image(monkeypatch, n, p, g):
+    """The image at n when the image at n - 1 is the constant g, and a thunk
+    computing it by u_of_twisted_power (memo bypassed) from that planted image."""
+    monkeypatch.setattr(frobdiv, "u_of_twisted_power", lambda m, p: BiCoordPoly(p, {(0, 0): g}))
+    return (BiCoordPoly(p, {(0, 1): g, (1, 0): -g.shifted(n - 1)}),
+            lambda: u_of_twisted_power.__wrapped__(n, p))
+
+
+# g = (n)_q! / cyclotomic(d): its divided image has denominator cyclotomic(d)
+@pytest.mark.parametrize("n, p, d", [
+    (2, 2, 2), (5, 5, 5),       # not divisible by cyclotomic(p)
+    (4, 2, 4), (9, 3, 9),       # divisible by cyclotomic(p)^(n // p), not by cyclotomic(p^2)
+])
+def test_u_twisted_power_membership_fault_raises_reference_message(monkeypatch, n, p, d):
+    planted, twisted = _planted_image(monkeypatch, n, p, q_factorial(n).divexact(cyclotomic(d)))
+    with pytest.raises(MembershipError) as ref:
+        _divide_reference(planted, n, p)
+    with pytest.raises(MembershipError) as got:
+        twisted()
+    assert str(got.value) == str(ref.value) == (
+        f"u on divided power {n} leaves the localization: {cyclotomic(d)}")
+
+
+def test_u_twisted_power_membership_ignores_other_cyclotomics(monkeypatch):
+    # cyclotomic(6) is 1 at q = 1, a unit in the localization at (2, q - 1)
+    planted, twisted = _planted_image(monkeypatch, 6, 2, q_factorial(6).divexact(cyclotomic(6)))
+    assert {c.den for c in _divide_reference(planted, 6, 2).terms.values()} == {cyclotomic(6)}
+    assert twisted() == planted

@@ -9,3 +9,16 @@ raising), and ``cli`` (the verification command line).
 """
 
 __version__ = "0.1.0"
+
+
+def clear_caches():
+    """Clear every ``lru_cache`` of the package; returns {qualified name: entries before}."""
+    import importlib
+    import pkgutil
+    tables = {f"{fn.__module__}.{fn.__qualname__}": fn for m in pkgutil.iter_modules(__path__)
+              for fn in vars(importlib.import_module(f"{__name__}.{m.name}")).values()
+              if hasattr(fn, "cache_clear") and fn.__module__.startswith(f"{__name__}.")}
+    sizes = {name: fn.cache_info().currsize for name, fn in tables.items()}
+    for fn in tables.values():
+        fn.cache_clear()
+    return sizes

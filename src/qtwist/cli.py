@@ -23,7 +23,7 @@ import sys
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 
-from .coordring import CoordPoly, SIDE_A, SIDE_APRIME
+from .coordring import CoordPoly, LocalizationError, SIDE_A, SIDE_APRIME, check_localized
 from .divpow import DPElem, LEVELS, PRIMES
 from .frobdiv import (FrobCoeffTable, MembershipError, default_r_max,
                       divided_frobenius, envelope_basis_check,
@@ -59,15 +59,6 @@ def _validate(args):
     if ((getattr(args, "n_max", 0) or 0) < 0 or (getattr(args, "r_max", 0) or 0) < 0
             or getattr(args, "trunc_N", 1) < 1 or getattr(args, "deg_d", 0) < 0):
         raise UsageError("bounds must be non-negative (--trunc-N at least 1)")
-
-
-def _check_localized(f, p, where=""):
-    """Reject a CoordPoly coefficient outside the localization at (p, q-1)."""
-    for j, c in enumerate(f.coeffs):
-        if not c.in_localization(p):
-            raise UsageError(
-                f"{where}coefficient {j} = {c} is not in the localization at "
-                f"(p, q-1) for p = {p}: its denominator at q = 1 is divisible by p")
 
 
 def _emit(args, text):
@@ -196,7 +187,7 @@ def cmd_taylor(args):
     if f.side != SIDE_A:
         raise UsageError(f'taylor expands a polynomial over A: set "side" to '
                          f'"{SIDE_A}" in the document (it is "{f.side}")')
-    _check_localized(f, args.p)
+    check_localized(f, args.p)
     expansion = taylor(f, args.n_max, args.p, args.m)
     _report(args, expansion.to_json, lambda: [repr(expansion)])
     return 0
@@ -210,7 +201,7 @@ def cmd_frobenius(args):
     if ctx != level_minus_one_ctx(ctx.p, SIDE_APRIME, ctx.cap):
         raise UsageError("input must be a level -1 element over the pullback side")
     for n, c in sorted(e.terms.items()):
-        _check_localized(c, ctx.p, f"term {n}, ")
+        check_localized(c, ctx.p, f"term {n}, ")
     top = max(e.terms, default=0)
     if ctx.p * top > ctx.cap:
         raise UsageError(
@@ -305,7 +296,7 @@ def main(argv=None):
     try:
         _validate(args)
         return args.fn(args)
-    except UsageError as e:
+    except (UsageError, LocalizationError) as e:     # bad input: a usage error
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:

@@ -35,7 +35,7 @@ import itertools
 
 from .qarith import LocScalar, QPoly, q_int
 from .coordring import (CoordPoly, SIDE_A, SIDE_APRIME, SideMismatchError,
-                        frobenius_decompose, level_derivative, q_derivative,
+                        frobenius_decompose, level_derivative, on_side, q_derivative,
                         rel_frobenius, sigma_power)
 
 H0_ENUMERATION_CAP = 10 ** 6      # most module elements h0_truncated enumerates
@@ -97,15 +97,11 @@ class ConnModule:
     __slots__ = ("p", "m", "side", "rank", "theta")
 
     def __init__(self, p, m, side, theta):
-        rows = tuple(tuple(e if isinstance(e, CoordPoly) else CoordPoly(e, side)
-                           for e in row) for row in theta)
+        rows = tuple(tuple(on_side(e, side, "matrix entry on the wrong side") for e in row)
+                     for row in theta)
         rank = len(rows)
-        for row in rows:
-            if len(row) != rank:
-                raise ValueError("connection matrix must be square")
-            for e in row:
-                if e.side != side:
-                    raise SideMismatchError("matrix entry on the wrong side")
+        if any(len(row) != rank for row in rows):
+            raise ValueError("connection matrix must be square")
         self.p = p
         self.m = m
         self.side = side
@@ -133,11 +129,7 @@ def theta_apply(module, vec):
     """theta of a coefficient vector, by the level -m twisted Leibniz rule."""
     if len(vec) != module.rank:
         raise ValueError(f"vector length {len(vec)} != rank {module.rank}")
-    vec = tuple(v if isinstance(v, CoordPoly) else CoordPoly(v, module.side)
-                for v in vec)
-    for v in vec:
-        if v.side != module.side:
-            raise SideMismatchError("vector entry on the wrong side")
+    vec = tuple(on_side(v, module.side, "vector entry on the wrong side") for v in vec)
     k = module.p ** module.m
     out = [level_derivative(v, k) for v in vec]
     for j, v in enumerate(vec):

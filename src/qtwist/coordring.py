@@ -1,12 +1,26 @@
 """The coordinate rings A = R[x] and A' = R[x'] and their twisted structure.
 
-A ``CoordPoly`` is a polynomial in the coordinate with ``LocScalar``
-coefficients, tagged with the side it lives on (``"A"`` or ``"A'"``).
-The two sides never mix in arithmetic: the structure maps between them
-are semilinear and easy to misapply, so crossing sides silently is a bug
-we refuse to allow.
+A ``CoordPoly`` is a polynomial in the coordinate with coefficients in R,
+tagged with the side it lives on (``"A"`` or ``"A'"``).  The two sides
+never mix in arithmetic: the structure maps between them are semilinear
+and easy to misapply, so crossing sides silently is a bug we refuse to allow.
 
-Structure maps (p is passed where the prime matters):
+It is stored as integer rows over one denominator: row d holds the q-coefficients
+of x^d and the polynomial is rows / den, in the canonical form (gcd 1 over Q[q] of
+den and the rows, coprime integer contents, lc(den) > 0) that ``hash`` and ``==``
+compare (``==`` compares views if both hold one).  Products and sums use
+Henrici's method (JACM 1956; Knuth, TAOCP 2, 4.5.1) on the x-content: a
+product divides each operand's rows and the other's den by their gcd, then
+forms one packed product of the rows (``qarith.mul_rows``), which needs no
+gcd since the x-content is multiplicative (Gauss's lemma over Q[q]); a sum
+takes g = gcd(da, db), then the gcd of g with the new rows, stopping at 1.
+``coeffs``, the ``LocScalar`` coefficients, is a view derived at most once
+(one gcd per row); an element built from ``LocScalar``s keeps them as its
+view and derives its rows on first use, multiplying each by the common
+denominator.  JSON, ``str`` and ``repr`` are those of the view.  The maps
+below act on each form an element holds, except that the derivatives of an
+element with rows act on its rows; q -> q^k maps gcds to gcds, so only
+sigma_power and the derivatives take a gcd (of the new rows with den).
 
 * ``sigma_power(f, k)``      x -> q^k x
 * ``phi_abs(f, p)``          q -> q^p on coefficients and x -> x^p
@@ -16,34 +30,31 @@ Structure maps (p is passed where the prime matters):
 * ``rel_frobenius(f, p)``    A' -> A, x' -> x^p, coefficients unchanged
 * ``pullback_map(f, p)``     A -> A', q -> q^p on coefficients, x -> x'
 
-``BiCoordPoly`` realizes A tensor_{A'} A as R[x1, x2] / (x1^p - x2^p)
-in the normal form with x2-exponent < p.
-
-A product of two ``CoordPoly`` whose coefficients a_i, b_j all have
-denominator 1, each with two or more nonzero, is one q-product
-(``qarith.mul_packed``) at x = q^L, L = max len(a_i) + max len(b_j) - 1:
-row k of the product, sum_{i+j=k} a_i b_j, has at most L terms, so the
-blocks of L terms cannot overlap.  Other products (a fractional
-coefficient, or a monomial factor, whose packed rows would be long and
-sparse) multiply coefficient by coefficient.
-
-``DenseModule`` and ``SparseModule`` hold the module arithmetic shared by
-every coefficient container of the package: the dense ``CoordPoly`` and
-``divpow.XiPoly``, and the sparse ``BiCoordPoly``, ``divpow.DPElem`` and
-``diffcalc.TwistedDiffOp``.
+``BiCoordPoly`` realizes A tensor_{A'} A as R[x1, x2] / (x1^p - x2^p) in the
+normal form with x2-exponent < p.  ``SparseModule`` holds the module arithmetic
+of ``BiCoordPoly``, ``divpow.DPElem``, ``divpow.XiPoly``, ``diffcalc.TwistedDiffOp``.
 """
 
 from __future__ import annotations
 
-from .qarith import (LocScalar, ONE_SCALAR, QPoly, ZERO_SCALAR, divide_exact,
-                     json_fields, mul_packed, power, q_int, q_int_pow)
+import math
+from itertools import chain, zip_longest
+
+from .qarith import (LocScalar, ONE_SCALAR, QPoly, ZERO_SCALAR, _add, _divexact,
+                     _gcd_cofactors, _mul, _neg, _reduce_pair, _stretch, divide_exact,
+                     json_fields, mul_rows, power, q_int, q_int_pow)
 
 SIDE_A = "A"
 SIDE_APRIME = "A'"
+_SCALARS = (int, QPoly, LocScalar)
 
 
 class SideMismatchError(ValueError):
     """Arithmetic or a structure map received operands on the wrong side."""
+
+
+class LocalizationError(ValueError):
+    """A coefficient lies outside the localization at (p, q-1)."""
 
 
 def _as_scalar(c):
@@ -60,88 +71,156 @@ def accumulate(out, key, value):
     out[key] = value if acc is None else acc + value
 
 
-# ---------------------------------------------------------------------------
-# module arithmetic shared by the coefficient containers
-# ---------------------------------------------------------------------------
+def check_localized(f, p, where=""):
+    """Raise LocalizationError (message prefixed by where) if a coefficient of f is not in R."""
+    for j, c in enumerate(f.coeffs):
+        if not c.in_localization(p):
+            raise LocalizationError(
+                f"{where}coefficient {j} = {c} is not in the localization at "
+                f"(p, q-1) for p = {p}: its denominator at q = 1 is divisible by p")
 
-class DenseModule:
-    """Coefficients on the basis 1, t, t^2, ... as a tuple, trailing zeros
-    trimmed, tagged with the side it lives on.
 
-    Subclasses normalise their constructor arguments and then call
-    ``_store``; they supply ``_coeff`` (normalise one coefficient) and
-    ``_scalar_types`` (the operands read as scalars).
-    """
+def _cancel(g, rows):
+    """(rows / h, g / h), h the gcd over Q[q] of g and every row, taken until it is 1."""
+    h = g
+    for r in rows:
+        if r and len(h) > 1:
+            h = _gcd_cofactors(h, r)[0]
+    if len(h) <= 1:
+        return rows, g
+    return tuple(_divexact(r, h) for r in rows), _divexact(g, h)
 
-    __slots__ = ("side", "coeffs")
 
-    def _store(self, side, coeffs):
-        self.side = side
-        coerce = self._coeff
-        cs = [coerce(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
+def _normal(rows, den):
+    """rows / den with their common integer content divided out and lc(den) > 0."""
+    if not rows:
+        return (), (1,)
+    c = math.gcd(*den)
+    c = (1 if c == 1 else math.gcd(c, *chain.from_iterable(rows))) * (-1 if den[-1] < 0 else 1)
+    if c == 1:
+        return rows, den
+    return tuple(tuple(v // c for v in r) for r in rows), tuple(v // c for v in den)
+
+
+class CoordPoly:
+    """Polynomial in the coordinate x (or x'): rows / den, with a LocScalar view."""
+
+    __slots__ = ("side", "_rows", "_den", "_coeffs")
+
+    def __init__(self, coeffs=(), side=SIDE_A):
+        if side not in (SIDE_A, SIDE_APRIME):
+            raise SideMismatchError(f"unknown side {side!r}")
+        if isinstance(coeffs, CoordPoly):
+            side, coeffs = coeffs.side, coeffs.coeffs
+        cs = [_as_scalar(c) for c in ((coeffs,) if isinstance(coeffs, _SCALARS) else coeffs)]
+        while cs and not cs[-1]:
             cs.pop()
-        self.coeffs = tuple(cs)
+        self.side, self._rows, self._den, self._coeffs = side, None, None, tuple(cs)
 
-    def _scalar(self, other):
-        return self._coeff(other) if isinstance(other, self._scalar_types) else None
+    @classmethod
+    def _make(cls, side, rows, den, coeffs=None):
+        """Trusted constructor: (rows, den) canonical, or None beside a view."""
+        self = object.__new__(cls)
+        self.side, self._rows, self._den, self._coeffs = side, rows, den, coeffs
+        return self
 
-    def _new(self, coeffs):
-        return type(self)(coeffs, self.side)
+    def _form(self):
+        """(rows, den), derived from the view on first use."""
+        if self._rows is None:
+            rows, den = [], (1,)
+            for c in self._coeffs:
+                if c and c.den.coeffs != den:     # c den = t.num / g: den grows by g to the lcm
+                    t = c * LocScalar._from_pair(den, (1,))
+                    g = t.den.coeffs
+                    rows, den, c = [_mul(r, g) for r in rows], _mul(den, g), t
+                rows.append(c.num.coeffs)
+            self._rows, self._den = _normal(tuple(rows), den)
+        return self._rows, self._den
 
-    def _coerce(self, other):
-        if isinstance(other, type(self)):
-            return other
-        c = self._scalar(other)
-        return NotImplemented if c is None else self._new((c,))
+    @property
+    def coeffs(self):
+        """The coefficients as LocScalars, trailing zeros trimmed."""
+        if self._coeffs is None:
+            den = self._den
+            self._coeffs = tuple(ZERO_SCALAR if not r else LocScalar._from_pair(
+                *((r, den) if den == (1,) else _reduce_pair(r, den))) for r in self._rows)
+        return self._coeffs
+
+    def _operand(self, other):
+        """other as a CoordPoly on this side (a scalar as a constant), or None."""
+        if not isinstance(other, CoordPoly):
+            return CoordPoly.monomial(other, 0, self.side) if isinstance(other, _SCALARS) else None
+        if other.side != self.side:
+            raise SideMismatchError(f"cannot combine elements of {self.side} and {other.side}")
+        return other
+
+    @classmethod
+    def x(cls, side=SIDE_A):
+        return cls.monomial(ONE_SCALAR, 1, side)
+
+    @classmethod
+    def monomial(cls, c, d, side=SIDE_A):
+        """c x^d, with both forms: c.num / c.den is canonical as a row over den."""
+        if d < 0:
+            raise ValueError(f"monomial needs degree d >= 0, got {d}")
+        f, c = cls((), side), _as_scalar(c)
+        if c:
+            f._rows, f._den = ((),) * d + (c.num.coeffs,), c.den.coeffs
+            f._coeffs = (ZERO_SCALAR,) * d + (c,)
+        return f
+
+    @classmethod
+    def from_degrees(cls, row, side):
+        """The element with coefficient row[d] at degree d, zero where row has no d."""
+        return cls([row.get(d, ZERO_SCALAR) for d in range(max(row, default=-1) + 1)], side)
 
     def is_zero(self):
-        return not self.coeffs
+        return not (self._coeffs if self._rows is None else self._rows)
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return not self.is_zero()
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1
+        return len(self._coeffs if self._rows is None else self._rows) - 1
 
     def coeff(self, d):
-        if 0 <= d < len(self.coeffs):
-            return self.coeffs[d]
-        return self._coeff(0)
-
-    def _check_side(self, other):
-        if self.side != other.side:
-            raise SideMismatchError(
-                f"cannot combine elements of {self.side} and {other.side}")
+        return self.coeffs[d] if 0 <= d <= self.degree else ZERO_SCALAR
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if isinstance(other, CoordPoly) and other.side != self.side:
+            return False
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
-        return self.side == other.side and self.coeffs == other.coeffs
+        if self._coeffs is not None and other._coeffs is not None:   # both views: no rows
+            return self._coeffs == other._coeffs
+        return self._form() == other._form()
 
     def __hash__(self):
-        return hash((self.side, self.coeffs))
+        return hash((self.side, *self._form()))
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
-        self._check_side(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            if c:
-                out[i] = out[i] + c
-        return self._new(out)
+        if not other or not self:
+            return self if self else other
+        (a, da), (b, db) = self._form(), other._form()
+        g, sa, sb = (da, (1,), (1,)) if da == db else _gcd_cofactors(da, db)
+        if da != db:                    # a db/g + b da/g over g (da/g) (db/g)
+            a, b = [_mul(r, sb) for r in a], [_mul(s, sa) for s in b]
+        rows = [_add(r, s) if r and s else r or s for r, s in zip_longest(a, b, fillvalue=())]
+        while rows and not rows[-1]:
+            rows.pop()
+        rows, g = _cancel(g, tuple(rows))
+        return CoordPoly._make(self.side, *_normal(rows, _mul(sa, _mul(sb, g))))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._new(tuple(-c for c in self.coeffs))
+        return _both(self, self.side, lambda rows, den: (tuple(map(_neg, rows)), den),
+                     lambda cs: tuple(-c for c in cs))
 
     def __sub__(self, other):
         return self + (-other)
@@ -150,34 +229,144 @@ class DenseModule:
         return (-self) + other
 
     def __mul__(self, other):
-        if not isinstance(other, type(self)):
-            c = self._scalar(other)
-            if c is None:
-                return NotImplemented
-            return self._new(tuple(a * c if a else a for a in self.coeffs))
-        self._check_side(other)
-        out = {}
-        terms = [(j, b) for j, b in enumerate(other.coeffs) if not b.is_zero()]
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in terms:
-                accumulate(out, i + j, a * b)
-        return self.from_degrees(out, self.side)
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        (a, da), (b, db) = self._form(), other._form()
+        if da == db == (1,):
+            return CoordPoly._make(self.side, mul_rows(a, b), da)
+        a, db = _cancel(db, a)
+        b, da = _cancel(da, b)
+        return CoordPoly._make(self.side, *_normal(mul_rows(a, b), _mul(da, db)))
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        return power(self, n, self._new((1,)))
-
-    @classmethod
-    def from_degrees(cls, row, side):
-        """The element with coefficient row[d] at degree d, zero where row has no d."""
-        return cls([row.get(d, ZERO_SCALAR) for d in range(max(row, default=-1) + 1)], side)
+        return power(self, n, CoordPoly(1, self.side))
 
     def map_coeffs(self, fn):
-        return self._new(tuple(fn(c) for c in self.coeffs))
+        return CoordPoly(tuple(fn(c) for c in self.coeffs), self.side)
 
+    def __repr__(self):
+        return f"CoordPoly({self.side}, [{', '.join(map(str, self.coeffs))}])"
+
+    def __str__(self):
+        var, parts = "x" if self.side == SIDE_A else "x'", []
+        for d, c in enumerate(self.coeffs):
+            if c:
+                v = "" if d == 0 else (var if d == 1 else f"{var}^{d}")
+                s = str(c)
+                s = f"({s})" if " " in s or "/" in s else s
+                parts.append(s if not v else (v if s == "1" else f"{s}*{v}"))
+        return " + ".join(parts) or "0"
+
+    def to_json(self):
+        return {"side": self.side, "coeffs": [c.to_json() for c in self.coeffs]}
+
+    @classmethod
+    def from_json(cls, data, path=""):
+        coeffs, side = json_fields(data, path, "coeffs", "side")
+        path = f"{path}.coeffs" if path else "coeffs"
+        if not isinstance(coeffs, list):
+            raise ValueError(f"{path}: expected an array, got {type(coeffs).__name__}")
+        return cls([LocScalar.from_json(c, f"{path}[{i}]") for i, c in enumerate(coeffs)], side)
+
+
+def on_side(c, side, message):
+    """c as a CoordPoly on side, a scalar as a constant; SideMismatchError(message) if not."""
+    c = c if isinstance(c, CoordPoly) else CoordPoly(c, side)
+    if c.side != side:
+        raise SideMismatchError(message)
+    return c
+
+
+def _both(f, side, on_rows, on_view):
+    """f under a map keeping both forms canonical, on_rows(rows, den) and on_view(coeffs)."""
+    rows, den = (None, None) if f._rows is None else on_rows(f._rows, f._den)
+    return CoordPoly._make(side, rows, den, None if f._coeffs is None else on_view(f._coeffs))
+
+
+def sigma_power(f, k):
+    """Substitute x -> q^k x: the k-th power of the twist."""
+    if k < 0:
+        raise ValueError("sigma_power needs k >= 0")
+    return _both(f, f.side, lambda rows, den: _cancel(den, tuple(
+        (0,) * (k * d) + r if r else r for d, r in enumerate(rows))),
+        lambda cs: tuple(c.shifted(k * d) for d, c in enumerate(cs)))
+
+
+def phi_abs(f, p):
+    """Absolute Frobenius lift: q -> q^p on coefficients, x -> x^p."""
+    return _both(f, f.side, lambda rows, den: (
+        _stretch([_stretch(r, p) for r in rows], p, ()), _stretch(den, p)),
+        lambda cs: _stretch([c.subs_qpow(p) for c in cs], p, ZERO_SCALAR))
+
+
+def delta(f, p):
+    """The delta-operator (phi(f) - f^p)/p; exact by construction."""
+    diff = phi_abs(f, p) - f ** p
+    return diff.map_coeffs(lambda c: divide_exact(c, p))
+
+
+def _derivative(f, factor):
+    """sum_d factor(d) f_d x^(d-1): on the rows with one gcd against den, or
+    on the view of an element that holds no rows, which then stays so."""
+    if f._rows is None:
+        return CoordPoly([c * factor(d) for d, c in enumerate(f._coeffs) if d], f.side)
+    rows = tuple(_mul(r, factor(d).coeffs) for d, r in enumerate(f._rows) if d)
+    return CoordPoly._make(f.side, *_normal(*_cancel(f._den, rows)))
+
+
+def q_derivative(f, k=1):
+    """Twisted derivative for the twist x -> q^k x, termwise.
+
+    x^n -> (1 + q^k + ... + q^(k(n-1))) x^(n-1); never divides by q^k - 1.
+    """
+    return _derivative(f, lambda d: q_int_pow(d, k))
+
+
+def level_derivative(f, k):
+    """(k)_q times the q^k-derivative: the action of D^<1> at level -m, k = p^m;
+    x^d -> (dk)_q x^(d-1), one product per term, since (d)_{q^k} (k)_q = (dk)_q."""
+    return _derivative(f, lambda d: q_int(d * k))
+
+
+def rel_frobenius(f, p):
+    """Relative Frobenius A' -> A: x' -> x^p, coefficients unchanged."""
+    if f.side != SIDE_APRIME:
+        raise SideMismatchError("rel_frobenius expects an element of A'")
+    return _both(f, SIDE_A, lambda rows, den: (_stretch(rows, p, ()), den),
+                 lambda cs: _stretch(cs, p, ZERO_SCALAR))
+
+
+def pullback_map(f, p):
+    """Semilinear pullback A -> A': q -> q^p on coefficients, x -> x'."""
+    if f.side != SIDE_A:
+        raise SideMismatchError("pullback_map expects an element of A")
+    return _both(f, SIDE_APRIME,
+                 lambda rows, den: (tuple(_stretch(r, p) for r in rows), _stretch(den, p)),
+                 lambda cs: tuple(c.subs_qpow(p) for c in cs))
+
+
+def frobenius_decompose(f, p):
+    """Write f in A uniquely as sum over i < p of rel_frobenius(g_i) x^i.
+
+    Returns the list [g_0, ..., g_(p-1)] of elements of A'; witnesses that
+    A is free of rank p over A'.
+    """
+    if f.side != SIDE_A:
+        raise SideMismatchError("frobenius_decompose expects an element of A")
+    return [CoordPoly(f.coeffs[i::p], SIDE_APRIME) for i in range(p)]
+
+
+def frobenius_recompose(parts, p):
+    x = CoordPoly.x(SIDE_A)
+    return sum((rel_frobenius(g, p) * x ** i for i, g in enumerate(parts)), CoordPoly((), SIDE_A))
+
+
+# ---------------------------------------------------------------------------
+# module arithmetic shared by the sparse coefficient containers
+# ---------------------------------------------------------------------------
 
 class SparseModule:
     """Finitely supported map basis key -> nonzero coefficient.
@@ -267,149 +456,6 @@ class SparseModule:
 
     def map_coeffs(self, fn):
         return self._new({k: fn(c) for k, c in self.terms.items()})
-
-
-class CoordPoly(DenseModule):
-    """Polynomial in the coordinate x (or x'), LocScalar coefficients."""
-
-    __slots__ = ()
-
-    _coeff = staticmethod(_as_scalar)
-    _scalar_types = (int, QPoly, LocScalar)
-
-    def __init__(self, coeffs=(), side=SIDE_A):
-        if side not in (SIDE_A, SIDE_APRIME):
-            raise SideMismatchError(f"unknown side {side!r}")
-        if isinstance(coeffs, CoordPoly):
-            side, coeffs = coeffs.side, coeffs.coeffs
-        elif isinstance(coeffs, (int, QPoly, LocScalar)):
-            coeffs = (coeffs,)
-        self._store(side, coeffs)
-
-    @classmethod
-    def x(cls, side=SIDE_A):
-        return cls((ZERO_SCALAR, ONE_SCALAR), side)
-
-    @classmethod
-    def monomial(cls, c, d, side=SIDE_A):
-        if d < 0:
-            raise ValueError(f"monomial needs degree d >= 0, got {d}")
-        return cls((ZERO_SCALAR,) * d + (_as_scalar(c),), side)
-
-    def __mul__(self, other):
-        rows = (isinstance(other, CoordPoly) and self.side == other.side
-                and mul_packed(self.coeffs, other.coeffs))
-        return self._new(rows) if rows else DenseModule.__mul__(self, other)
-
-    def __repr__(self):
-        return f"CoordPoly({self.side}, [{', '.join(map(str, self.coeffs))}])"
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        var = "x" if self.side == SIDE_A else "x'"
-        parts = []
-        for d, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
-            v = "" if d == 0 else (var if d == 1 else f"{var}^{d}")
-            s = str(c)
-            if " " in s or "/" in s:
-                s = f"({s})"
-            parts.append(s if not v else (v if s == "1" else f"{s}*{v}"))
-        return " + ".join(parts)
-
-    def to_json(self):
-        return {"side": self.side, "coeffs": [c.to_json() for c in self.coeffs]}
-
-    @classmethod
-    def from_json(cls, data, path=""):
-        coeffs, side = json_fields(data, path, "coeffs", "side")
-        path = f"{path}.coeffs" if path else "coeffs"
-        if not isinstance(coeffs, list):
-            raise ValueError(f"{path}: expected an array, got {type(coeffs).__name__}")
-        return cls([LocScalar.from_json(c, f"{path}[{i}]") for i, c in enumerate(coeffs)], side)
-
-
-def sigma_power(f, k):
-    """Substitute x -> q^k x: the k-th power of the twist."""
-    if k < 0:
-        raise ValueError("sigma_power needs k >= 0")
-    return CoordPoly(tuple(c.shifted(k * d) for d, c in enumerate(f.coeffs)), f.side)
-
-
-def phi_abs(f, p):
-    """Absolute Frobenius lift: q -> q^p on coefficients, x -> x^p."""
-    out = [ZERO_SCALAR] * (p * f.degree + 1 if f else 0)
-    for d, c in enumerate(f.coeffs):
-        out[p * d] = c.subs_qpow(p)
-    return CoordPoly(out, f.side)
-
-
-def delta(f, p):
-    """The delta-operator (phi(f) - f^p)/p; exact by construction."""
-    diff = phi_abs(f, p) - f ** p
-    return diff.map_coeffs(lambda c: divide_exact(c, p))
-
-
-def q_derivative(f, k=1):
-    """Twisted derivative for the twist x -> q^k x, termwise.
-
-    x^n -> (1 + q^k + ... + q^(k(n-1))) x^(n-1); never divides by q^k - 1.
-    """
-    return CoordPoly(
-        tuple(f.coeffs[d] * q_int_pow(d, k) for d in range(1, len(f.coeffs))),
-        f.side)
-
-
-def level_derivative(f, k):
-    """(k)_q times the q^k-derivative: the action of D^<1> at level -m, k = p^m;
-    x^d -> (dk)_q x^(d-1), one product per term, since (d)_{q^k} (k)_q = (dk)_q."""
-    return CoordPoly(tuple(c * q_int(d * k) for d, c in enumerate(f.coeffs) if d), f.side)
-
-
-def rel_frobenius(f, p):
-    """Relative Frobenius A' -> A: x' -> x^p, coefficients unchanged."""
-    if f.side != SIDE_APRIME:
-        raise SideMismatchError("rel_frobenius expects an element of A'")
-    out = [ZERO_SCALAR] * (p * f.degree + 1 if f else 0)
-    for d, c in enumerate(f.coeffs):
-        out[p * d] = c
-    return CoordPoly(out, SIDE_A)
-
-
-def pullback_map(f, p):
-    """Semilinear pullback A -> A': q -> q^p on coefficients, x -> x'."""
-    if f.side != SIDE_A:
-        raise SideMismatchError("pullback_map expects an element of A")
-    return CoordPoly(tuple(c.subs_qpow(p) for c in f.coeffs), SIDE_APRIME)
-
-
-def frobenius_decompose(f, p):
-    """Write f in A uniquely as sum over i < p of rel_frobenius(g_i) x^i.
-
-    Returns the list [g_0, ..., g_(p-1)] of elements of A'; witnesses that
-    A is free of rank p over A'.
-    """
-    if f.side != SIDE_A:
-        raise SideMismatchError("frobenius_decompose expects an element of A")
-    parts = [[] for _ in range(p)]
-    for d, c in enumerate(f.coeffs):
-        i = d % p
-        k = d // p
-        part = parts[i]
-        while len(part) <= k:
-            part.append(ZERO_SCALAR)
-        part[k] = c
-    return [CoordPoly(part, SIDE_APRIME) for part in parts]
-
-
-def frobenius_recompose(parts, p):
-    x = CoordPoly.x(SIDE_A)
-    out = CoordPoly((), SIDE_A)
-    for i, g in enumerate(parts):
-        out = out + rel_frobenius(g, p) * x ** i
-    return out
 
 
 # ---------------------------------------------------------------------------

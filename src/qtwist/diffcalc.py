@@ -34,7 +34,7 @@ from __future__ import annotations
 from .qarith import LocScalar, QPoly, q_binomial_pow
 # q_derivative is unused here but stays bound: perfbench instruments it by name
 from .coordring import (CoordPoly, SIDE_A, SparseModule, accumulate, level_derivative,
-                        q_derivative, sigma_power)
+                        on_side, q_derivative, sigma_power)
 from .divpow import DEFAULT_DEGREE_CAP, DPContext, DPElem
 
 
@@ -54,11 +54,7 @@ class TwistedDiffOp(SparseModule):
         return (self.p, self.m)
 
     def _coeff(self, c):
-        if not isinstance(c, CoordPoly):
-            c = CoordPoly(c, SIDE_A)
-        if c.side != SIDE_A:
-            raise ValueError("operator coefficients live on side A")
-        return c
+        return on_side(c, SIDE_A, "operator coefficients live on side A")
 
     def _product(self, other):
         return op_compose(self, other)

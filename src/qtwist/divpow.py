@@ -14,8 +14,8 @@ Basis symbols are written xi^[n] below; they multiply by
 
 over 0 <= i <= min(n1, n2), with the constants taken from this closed
 form, sign and y-power included: term i is one scalar times x^i.  A
-product adds each coefficient of c1 c2 times such a scalar into a row
-{x-degree: scalar} of its index, one ``CoordPoly`` per row at the end.
+product adds c1 c2 times each such term, in ``CoordPoly`` arithmetic, into
+the coefficient of its index.
 ``_struct_consts_oracle`` recomputes them independently in Q(q) by
 clearing q-factorials out of products of twisted powers, with an
 integrality assertion; it is only the reference the checks compare with.
@@ -31,8 +31,8 @@ from functools import lru_cache
 
 from .qarith import (LocScalar, ONE, ONE_SCALAR, QPoly, is_decimal, json_fields,
                      q_binomial, q_binomial_pow, q_factorial, q_int_pow)
-from .coordring import (CoordPoly, DenseModule, SIDE_A, SIDE_APRIME,
-                        SideMismatchError, SparseModule, accumulate, pullback_map)
+from .coordring import (CoordPoly, SIDE_A, SIDE_APRIME, SideMismatchError, SparseModule,
+                        accumulate, on_side, pullback_map)
 
 DEFAULT_DEGREE_CAP = 16
 PRIMES = (2, 3, 5, 7)
@@ -102,32 +102,45 @@ class DPContext:
 # polynomials in xi over A (monomial basis)
 # ---------------------------------------------------------------------------
 
-class XiPoly(DenseModule):
-    """Polynomial in xi with CoordPoly coefficients (monomial basis)."""
+class XiPoly(SparseModule):
+    """Polynomial in xi over A (monomial basis), from coefficients or {degree: coefficient}."""
 
-    __slots__ = ()
+    __slots__ = ("side",)
 
     _scalar_types = (int, QPoly, LocScalar, CoordPoly)
 
     def __init__(self, coeffs=(), side=SIDE_A):
         if isinstance(coeffs, CoordPoly):
             side, coeffs = coeffs.side, (coeffs,)
-        self._store(side, coeffs)
+        self.side = side
+        self._store(coeffs if isinstance(coeffs, dict) else dict(enumerate(coeffs)))
+
+    def _context(self):
+        return (self.side,)
+
+    def _new(self, terms):
+        return XiPoly(terms, self.side)
 
     @classmethod
     def gen(cls, side=SIDE_A):
         return cls((CoordPoly((), side), CoordPoly(1, side)), side)
 
     def _coeff(self, c):
-        if not isinstance(c, CoordPoly):
-            c = CoordPoly(c, self.side)
-        if c.side != self.side:
-            raise SideMismatchError("mixed sides in XiPoly")
-        return c
+        return on_side(c, self.side, "mixed sides in XiPoly")
+
+    def _product(self, other):
+        out = {}
+        for i, a in self.terms.items():
+            for j, b in other.terms.items():
+                accumulate(out, i + j, a * b)
+        return XiPoly(out, self.side)
+
+    @property
+    def coeffs(self):
+        return tuple(self.coeff(d) for d in range(max(self.terms, default=-1) + 1))
 
     def __repr__(self):
-        parts = [f"({c})*xi^{d}" for d, c in enumerate(self.coeffs) if not c.is_zero()]
-        return " + ".join(parts) or "0"
+        return " + ".join(f"({c})*xi^{d}" for d, c in sorted(self.terms.items())) or "0"
 
 
 def twisted_power_expand(n, ctx):
@@ -247,11 +260,7 @@ class DPElem(SparseModule):
         return (self.ctx,)
 
     def _coeff(self, c):
-        if not isinstance(c, CoordPoly):
-            c = CoordPoly(c, self.ctx.side)
-        if c.side != self.ctx.side:
-            raise SideMismatchError("coefficient side does not match context")
-        return c
+        return on_side(c, self.ctx.side, "coefficient side does not match context")
 
     def _basis_key(self, n):
         if n < 0:
@@ -301,18 +310,15 @@ class DPElem(SparseModule):
 
 def dp_mul(u, v):
     """Product in the divided-power algebra, bilinear over the basis rule, summed
-    per (index, x-degree); indices keep the order of their first term."""
+    per index in CoordPoly arithmetic; indices keep the order of their first term."""
     u._check(v)
-    ctx, rows = u.ctx, {}
+    out = {}
     for n1, c1 in u.terms.items():
         for n2, c2 in v.terms.items():
-            c12 = (c1 * c2).coeffs
-            for i, s in _struct_consts_closed(n1, n2, ctx.twist, ctx.qexp):
-                row = rows.setdefault(n1 + n2 - i, {})
-                for d, a in enumerate(c12, i):
-                    if a:
-                        accumulate(row, d, a * s)
-    return DPElem(ctx, {n: CoordPoly.from_degrees(row, ctx.side) for n, row in rows.items()})
+            c12 = c1 * c2
+            for n, t in dp_structure_terms(u.ctx, n1, n2):
+                accumulate(out, n, c12 * t)
+    return DPElem(u.ctx, out)
 
 
 def blowup(e, ctx):

@@ -193,6 +193,15 @@ def _mul_kronecker(a, b):
     return _trim(_kron_unpack(x * y, w, len(a) + len(b) - 1))
 
 
+def _stretch(a, k, zero=0):
+    """a with q -> q^k (k >= 1), as a tuple; with another zero, any sequence."""
+    if k == 1 or not a:
+        return tuple(a)
+    out = [zero] * ((len(a) - 1) * k + 1)
+    out[::k] = a
+    return tuple(out)
+
+
 def _scale(a, k):
     if k == 0:
         return ()
@@ -422,11 +431,7 @@ class QPoly:
         """Substitute q -> q^k (k >= 1)."""
         if k < 1:
             raise ValueError(f"stretch needs k >= 1, got {k}")
-        if k == 1 or not self.coeffs:
-            return self
-        out = [0] * ((len(self.coeffs) - 1) * k + 1)
-        out[::k] = self.coeffs
-        return QPoly._raw(tuple(out))
+        return self if k == 1 else QPoly._raw(_stretch(self.coeffs, k))
 
     def shifted(self, k):
         """Multiply by q^k (k >= 0)."""
@@ -843,23 +848,21 @@ def divide_by_cyclotomic_product(z, factors):
     return z._from_pair(num.coeffs, (z.den * extra).coeffs)
 
 
-def mul_packed(a, b):
-    """The coefficients of the product of sum a_i x^i and sum b_j x^j, for
-    ``LocScalar`` a_i, b_j, as one ``_mul`` of the numerators at x = q^L,
-    L = max len(a_i) + max len(b_j) - 1; or None unless every a_i, b_j
-    has denominator 1 and each side has two or more nonzero.
-
-    Row k of the product, sum_{i+j=k} a_i b_j, has at most L terms, so the
-    blocks of L terms cannot overlap."""
-    if any(c.den.coeffs != (1,) for c in (*a, *b)):
-        return None
-    rows = [[c.num.coeffs for c in f] for f in (a, b)]
-    if any(len(r) - r.count(()) < 2 for r in rows):
-        return None
-    stride = sum(max(map(len, r)) for r in rows) - 1
-    prod = _mul(*(_pack_rows(r, stride) for r in rows))
-    return [LocScalar._from_pair(_trim(prod[k:k + stride]), (1,))
-            for k in range(0, (len(a) + len(b) - 1) * stride, stride)]
+def mul_rows(a, b):
+    """The rows of (sum a_i x^i)(sum b_j x^j), a_i and b_j q-coefficient tuples:
+    row by row if a or b has one nonzero row, else one ``_mul`` of both packed at
+    x = q^L, L = max len(a_i) + max len(b_j) - 1.  Row k of the product,
+    sum_{i+j=k} a_i b_j, has at most L terms, so blocks of L terms cannot overlap."""
+    if not a or not b:
+        return ()
+    if len(b) - b.count(()) == 1:
+        a, b = b, a
+    if len(a) - a.count(()) == 1:
+        return ((),) * (len(a) - 1) + tuple(_mul(a[-1], s) if s else () for s in b)
+    stride = max(map(len, a)) + max(map(len, b)) - 1
+    prod = _mul(_pack_rows(a, stride), _pack_rows(b, stride))
+    return tuple(_trim(prod[k:k + stride])
+                 for k in range(0, (len(a) + len(b) - 1) * stride, stride))
 
 
 def _pack_rows(rows, stride):

@@ -258,7 +258,7 @@ def _twisted_coeffs_by_back_substitution(f, ctx):
     # reference: the twisted powers are monic of increasing degree, so the
     # top coefficient of what is left names the next basis coefficient
     rem, out = f, {}
-    for d in range(f.degree, -1, -1):
+    for d in range(len(f.coeffs) - 1, -1, -1):
         c = rem.coeff(d)
         if not c.is_zero():
             out[d] = c

@@ -56,9 +56,10 @@ def _validate(args):
         raise UsageError(f"--p must be one of {PRIMES}, got {args.p}")
     if getattr(args, "m", 0) not in LEVELS:
         raise UsageError(f"--m must be in 0..3, got {args.m}")
-    if ((getattr(args, "n_max", 0) or 0) < 0 or (getattr(args, "r_max", 0) or 0) < 0
-            or getattr(args, "trunc_N", 1) < 1 or getattr(args, "deg_d", 0) < 0):
-        raise UsageError("bounds must be non-negative (--trunc-N at least 1)")
+    for dest, low in (("n_max", 0), ("r_max", 0), ("trunc_N", 1), ("deg_d", 0)):
+        if (value := getattr(args, dest, None)) is not None and value < low:
+            raise UsageError(f"bounds must be non-negative (--trunc-N at least 1): "
+                             f"--{dest.replace('_', '-')} got {value}")
 
 
 def _emit(args, text):

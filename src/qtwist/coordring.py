@@ -41,8 +41,8 @@ import math
 from itertools import chain, zip_longest
 
 from .qarith import (LocScalar, ONE_SCALAR, QPoly, ZERO_SCALAR, _add, _divexact,
-                     _gcd_cofactors, _mul, _neg, _reduce_pair, _stretch, divide_exact,
-                     json_fields, mul_rows, power, q_int, q_int_pow)
+                     _gcd_cofactors, _mul, _neg, _reduce_pair, _stretch, _trim, divide_exact,
+                     json_fields, mul_q_int, mul_rows, power, q_int_pow)
 
 SIDE_A = "A"
 SIDE_APRIME = "A'"
@@ -112,10 +112,14 @@ class CoordPoly:
             raise SideMismatchError(f"unknown side {side!r}")
         if isinstance(coeffs, CoordPoly):
             side, coeffs = coeffs.side, coeffs.coeffs
-        cs = [_as_scalar(c) for c in ((coeffs,) if isinstance(coeffs, _SCALARS) else coeffs)]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.side, self._rows, self._den, self._coeffs = side, None, None, tuple(cs)
+        cs = (coeffs,) if isinstance(coeffs, _SCALARS) else coeffs
+        self.side, self._rows, self._den = side, None, None
+        self._coeffs = _trim([_as_scalar(c) for c in cs])
+
+    @classmethod
+    def from_rows(cls, rows, den, side=SIDE_A):
+        """rows / den, for a tuple of integer rows with a nonzero last one, made canonical."""
+        return cls._make(side, *_normal(*_cancel(den, rows)))
 
     @classmethod
     def _make(cls, side, rows, den, coeffs=None):
@@ -210,10 +214,7 @@ class CoordPoly:
         g, sa, sb = (da, (1,), (1,)) if da == db else _gcd_cofactors(da, db)
         if da != db:                    # a db/g + b da/g over g (da/g) (db/g)
             a, b = [_mul(r, sb) for r in a], [_mul(s, sa) for s in b]
-        rows = [_add(r, s) if r and s else r or s for r, s in zip_longest(a, b, fillvalue=())]
-        while rows and not rows[-1]:
-            rows.pop()
-        rows, g = _cancel(g, tuple(rows))
+        rows, g = _cancel(g, add_rows(a, b))
         return CoordPoly._make(self.side, *_normal(rows, _mul(sa, _mul(sb, g))))
 
     __radd__ = __add__
@@ -234,10 +235,9 @@ class CoordPoly:
             return NotImplemented
         (a, da), (b, db) = self._form(), other._form()
         if da == db == (1,):
-            return CoordPoly._make(self.side, mul_rows(a, b), da)
-        a, db = _cancel(db, a)
-        b, da = _cancel(da, b)
-        return CoordPoly._make(self.side, *_normal(mul_rows(a, b), _mul(da, db)))
+            return CoordPoly._make(self.side, mul_rows(((a, b),)), da)
+        (a, db), (b, da) = _cancel(db, a), _cancel(da, b)
+        return CoordPoly._make(self.side, *_normal(mul_rows(((a, b),)), _mul(da, db)))
 
     __rmul__ = __mul__
 
@@ -272,6 +272,25 @@ class CoordPoly:
         return cls([LocScalar.from_json(c, f"{path}[{i}]") for i, c in enumerate(coeffs)], side)
 
 
+def add_rows(a, b):
+    """The rows of a + b, for integer rows a and b, trailing empty rows trimmed."""
+    return _trim([_add(r, s) if r and s else r or s for r, s in zip_longest(a, b, fillvalue=())])
+
+
+def common_rows(fs):
+    """({key: rows of f den / den(f)}, den), den the lcm of the dict fs's denominators
+    up to an integer: one gcd per change of denominator."""
+    out, den = {}, (1,)
+    for key, f in fs.items():
+        rows, d = f._form()
+        if d != den:
+            _, s_den, s_d = _gcd_cofactors(den, d)        # den s_d = d s_den
+            out = {j: tuple(_mul(r, s_d) for r in rs) for j, rs in out.items()}
+            den, rows = _mul(den, s_d), tuple(_mul(r, s_den) for r in rows)
+        out[key] = rows
+    return out, den
+
+
 def on_side(c, side, message):
     """c as a CoordPoly on side, a scalar as a constant; SideMismatchError(message) if not."""
     c = c if isinstance(c, CoordPoly) else CoordPoly(c, side)
@@ -286,13 +305,17 @@ def _both(f, side, on_rows, on_view):
     return CoordPoly._make(side, rows, den, None if f._coeffs is None else on_view(f._coeffs))
 
 
+def sigma_rows(rows, k):
+    """x -> q^k x on integer rows."""
+    return tuple((0,) * (k * d) + r if r else r for d, r in enumerate(rows))
+
+
 def sigma_power(f, k):
     """Substitute x -> q^k x: the k-th power of the twist."""
     if k < 0:
         raise ValueError("sigma_power needs k >= 0")
-    return _both(f, f.side, lambda rows, den: _cancel(den, tuple(
-        (0,) * (k * d) + r if r else r for d, r in enumerate(rows))),
-        lambda cs: tuple(c.shifted(k * d) for d, c in enumerate(cs)))
+    return _both(f, f.side, lambda rows, den: _cancel(den, sigma_rows(rows, k)),
+                 lambda cs: tuple(c.shifted(k * d) for d, c in enumerate(cs)))
 
 
 def phi_abs(f, p):
@@ -308,13 +331,17 @@ def delta(f, p):
     return diff.map_coeffs(lambda c: divide_exact(c, p))
 
 
-def _derivative(f, factor):
-    """sum_d factor(d) f_d x^(d-1): on the rows with one gcd against den, or
-    on the view of an element that holds no rows, which then stays so."""
+def _derivative(f, k, j):
+    """sum_d (dj)_{q^k} f_d x^(d-1), on the rows, or on the view of an element without rows."""
     if f._rows is None:
-        return CoordPoly([c * factor(d) for d, c in enumerate(f._coeffs) if d], f.side)
-    rows = tuple(_mul(r, factor(d).coeffs) for d, r in enumerate(f._rows) if d)
-    return CoordPoly._make(f.side, *_normal(*_cancel(f._den, rows)))
+        return CoordPoly([c * q_int_pow(d * j, k) for d, c in enumerate(f._coeffs) if d], f.side)
+    return CoordPoly.from_rows(derivative_rows(f._rows, k, j), f._den, f.side)
+
+
+def derivative_rows(rows, k, j):
+    """The same sum on integer rows; (dj)_q multiplies by window sums (``mul_q_int``)."""
+    return tuple(mul_q_int(r, d * j) if k == 1 else _mul(r, q_int_pow(d * j, k).coeffs)
+                 for d, r in enumerate(rows) if d)
 
 
 def q_derivative(f, k=1):
@@ -322,13 +349,13 @@ def q_derivative(f, k=1):
 
     x^n -> (1 + q^k + ... + q^(k(n-1))) x^(n-1); never divides by q^k - 1.
     """
-    return _derivative(f, lambda d: q_int_pow(d, k))
+    return _derivative(f, k, 1)
 
 
 def level_derivative(f, k):
     """(k)_q times the q^k-derivative: the action of D^<1> at level -m, k = p^m;
-    x^d -> (dk)_q x^(d-1), one product per term, since (d)_{q^k} (k)_q = (dk)_q."""
-    return _derivative(f, lambda d: q_int(d * k))
+    x^d -> (dk)_q x^(d-1), since (d)_{q^k} (k)_q = (dk)_q."""
+    return _derivative(f, 1, k)
 
 
 def rel_frobenius(f, p):

@@ -16,11 +16,13 @@ the rule into the twisted Leibniz formula
 
     D^<n> o f = sum_{j<=n} C(n, j)_Q sigma^j(D^<n-j>(f)) D^<j>.
 
-``op_compose`` groups it by output index J; with the D^<i>(f2) read off
-``taylor``, each left coefficient f1_{n1} meets one product per J:
+``op_compose`` takes it one step at a time: W_n = D^<n> o B, B = sum_J b_J D^<J>, has
+W_0 = B and W_{n+1}[J] = D^<1>(W_n[J]) + sigma(W_n[J-1]), the formula's induction step
+(D^<1> sigma^j = Q^j sigma^j D^<1>, C(n+1, j)_Q = Q^j C(n, j)_Q + C(n, j-1)_Q).  Both
+maps are R-linear, so it runs on B's integer rows over one denominator beta, and with
+A's rows over alpha each output coefficient is one packed sum (``qarith.mul_rows``):
 
-    (f1_{n1} D^<n1>) o (sum f2_{n2} D^<n2>) = sum_J f1_{n1} V_{n1}[J] D^<J>,
-    V_{n1}[J] = sum_{j+n2=J} C(n1, j)_Q sigma^j(D^<n1-j>(f2_{n2})).
+    (sum_n (a_n / alpha) D^<n>) o B = sum_J (sum_n a_n W_n[J]) / (alpha beta) D^<J>.
 
 The divided-power algebra of matching level is the predual: the pairing
 <D^<n>, w[k]> is 1 when n = k and 0 otherwise, extended A-bilinearly,
@@ -31,10 +33,10 @@ f -> sum_i D^<i>(f) w[i].
 
 from __future__ import annotations
 
-from .qarith import LocScalar, QPoly, q_binomial_pow
+from .qarith import LocScalar, QPoly, _mul, mul_rows
 # q_derivative is unused here but stays bound: perfbench instruments it by name
-from .coordring import (CoordPoly, SIDE_A, SparseModule, accumulate, level_derivative,
-                        on_side, q_derivative, sigma_power)
+from .coordring import (CoordPoly, SIDE_A, SparseModule, add_rows, common_rows, derivative_rows,
+                        level_derivative, on_side, q_derivative, sigma_rows)
 from .divpow import DEFAULT_DEGREE_CAP, DPContext, DPElem
 
 
@@ -74,24 +76,22 @@ class TwistedDiffOp(SparseModule):
 
 
 def op_compose(d1, d2):
-    """Composition in normal form, by the twisted Leibniz formula grouped by J."""
+    """Composition in normal form, fraction-free by the step rule (module docstring)."""
     d1._check(d2)
-    p, m = d1.p, d1.m
-    k = p ** m
-    N = max(d1.terms, default=0)
-    rows = [(n2, taylor(f2, N, p, m).terms) for n2, f2 in d2.terms.items()]   # i -> D^<i>(f2)
-    out = {}
-    for n1, f1 in d1.terms.items():
-        v = {}      # J -> V_{n1}[J]
-        for j in range(n1 + 1):
-            c = None if j in (0, n1) else LocScalar(q_binomial_pow(n1, j, k))
-            for n2, derivs in rows:
-                if n1 - j in derivs:
-                    g = sigma_power(derivs[n1 - j], k * j)
-                    accumulate(v, j + n2, g if c is None else g * c)
-        for J, g in v.items():
-            accumulate(out, J, f1 * g)
-    return TwistedDiffOp(p, m, out)
+    k = d1.p ** d1.m
+    (a, alpha), (w, beta) = common_rows(d1.terms), common_rows(d2.terms)   # w = W_0
+    pairs = {}                                  # J -> [(a_n, W_n[J]) for n in supp d1]
+    for n in range(max(a, default=-1) + 1):
+        if n:                                   # W_n from W_(n-1)
+            step = {J: derivative_rows(r, 1, k) for J, r in w.items()}
+            for J, r in w.items():
+                step[J + 1] = add_rows(step.get(J + 1, ()), sigma_rows(r, k))
+            w = {J: r for J, r in step.items() if r}
+        for J, r in w.items() if n in a else ():
+            pairs.setdefault(J, []).append((a[n], r))
+    den = _mul(alpha, beta)
+    return TwistedDiffOp(d1.p, d1.m, {J: CoordPoly.from_rows(mul_rows(ps), den, SIDE_A)
+                                      for J, ps in pairs.items()})
 
 
 def op_apply(d, f):
@@ -128,9 +128,5 @@ def pairing(d, e):
     element: matching basis indices contribute coefficient products."""
     if (d.p, d.m) != (e.ctx.p, e.ctx.m) or e.ctx.side != SIDE_A:
         raise ValueError("pairing needs matching level over side A")
-    out = CoordPoly((), SIDE_A)
-    for n, c in d.terms.items():
-        g = e.terms.get(n)
-        if g is not None:
-            out = out + c * g
-    return out
+    return sum((c * e.terms[n] for n, c in d.terms.items() if n in e.terms),
+               CoordPoly((), SIDE_A))

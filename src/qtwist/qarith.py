@@ -59,8 +59,8 @@ from array import array
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
-from operator import add, lshift, rshift
+from itertools import accumulate, chain, repeat
+from operator import add, lshift, rshift, sub
 
 
 class NotDivisibleError(ArithmeticError):
@@ -77,7 +77,7 @@ class NotDivisibleError(ArithmeticError):
 
 def _trim(coeffs):
     n = len(coeffs)
-    while n and coeffs[n - 1] == 0:
+    while n and not coeffs[n - 1]:
         n -= 1
     return tuple(coeffs[:n])
 
@@ -191,6 +191,21 @@ def _mul_kronecker(a, b):
     x = _kron_pack(a, w)
     y = x if b is a else _kron_pack(b, w)   # x * x takes CPython's squaring path
     return _trim(_kron_unpack(x * y, w, len(a) + len(b) - 1))
+
+
+def _kron_sum(pairs):
+    """sum a*b over pairs of nonzero operands at one q = 256^w, 8w >= bits(S) + 1 for the
+    bound S = sum max|a| max|b| min(nnz a, nnz b) on a coefficient (min(nnz) terms in a*b)."""
+    s = sum(max(max(a), -min(a)) * max(max(b), -min(b))
+            * min(len(a) - a.count(0), len(b) - b.count(0)) for a, b in pairs)
+    w, m = _digit_bytes(s.bit_length() + 1), max(len(a) + len(b) for a, b in pairs) - 1
+    return _kron_unpack(sum(_kron_pack(a, w) * _kron_pack(b, w) for a, b in pairs), w, m)
+
+
+def mul_q_int(a, n):
+    """a (trimmed) times (n)_q: coefficient i is a[i-n+1] + ... + a[i], by prefix sums."""
+    s = [0, *accumulate(a)]
+    return tuple(map(sub, s[1:] + s[-1:] * (n - 1), [0] * (n - 1) + s[:-1])) if a and n else ()
 
 
 def _stretch(a, k, zero=0):
@@ -848,29 +863,28 @@ def divide_by_cyclotomic_product(z, factors):
     return z._from_pair(num.coeffs, (z.den * extra).coeffs)
 
 
-def mul_rows(a, b):
-    """The rows of (sum a_i x^i)(sum b_j x^j), a_i and b_j q-coefficient tuples:
-    row by row if a or b has one nonzero row, else one ``_mul`` of both packed at
-    x = q^L, L = max len(a_i) + max len(b_j) - 1.  Row k of the product,
-    sum_{i+j=k} a_i b_j, has at most L terms, so blocks of L terms cannot overlap."""
-    if not a or not b:
+def mul_rows(pairs):
+    """The rows of sum (sum a_i x^i)(sum b_j x^j) over pairs of integer row tuples: row
+    by row if one pair has a factor of one nonzero row, else all packed at x = q^L, L the
+    largest max len(a_i) + max len(b_j) - 1, and summed at once (``_kron_sum``)."""
+    if len(pairs) == 1:
+        a, b = pairs[0]
+        if not a or not b:
+            return ()
+        if len(b) - b.count(()) == 1:
+            a, b = b, a
+        if len(a) - a.count(()) == 1:
+            return ((),) * (len(a) - 1) + tuple(_mul(a[-1], s) if s else () for s in b)
+    elif not (pairs := [(a, b) for a, b in pairs if a and b]):
         return ()
-    if len(b) - b.count(()) == 1:
-        a, b = b, a
-    if len(a) - a.count(()) == 1:
-        return ((),) * (len(a) - 1) + tuple(_mul(a[-1], s) if s else () for s in b)
-    stride = max(map(len, a)) + max(map(len, b)) - 1
-    prod = _mul(_pack_rows(a, stride), _pack_rows(b, stride))
-    return tuple(_trim(prod[k:k + stride])
-                 for k in range(0, (len(a) + len(b) - 1) * stride, stride))
+    L = max(max(map(len, a)) + max(map(len, b)) - 1 for a, b in pairs)
+    prod = _kron_sum([(_pack_rows(a, L), _pack_rows(b, L)) for a, b in pairs])
+    return _trim([_trim(prod[k:k + L]) for k in range(0, len(prod), L)])
 
 
 def _pack_rows(rows, stride):
-    """Substitute x = q^stride into sum rows[i] x^i."""
-    out = [0] * (len(rows) * stride)
-    for i, r in enumerate(rows):
-        out[i * stride:i * stride + len(r)] = r
-    return _trim(out)
+    """Substitute x = q^stride into sum rows[i] x^i, rows[-1] nonzero."""
+    return (*chain.from_iterable(r + (0,) * (stride - len(r)) for r in rows[:-1]), *rows[-1])
 
 
 # ---------------------------------------------------------------------------

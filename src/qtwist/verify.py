@@ -399,7 +399,9 @@ def check_frobenius_lift_example(cfg, rng):
 
 @check("frobdiv.phi-multiplicative", "the level -1 Frobenius lift is a ring map")
 def check_phi_dp_multiplicative(cfg, rng):
-    # phi_dp = blowup o phi_std, checked first; the blow-up is an injective ring map
+    # phi_dp = blowup o phi_std, checked first; the blow-up is an injective ring map. The rest
+    # is divided-frobenius-multiplicative on these pairs (A' read as A) under the injective
+    # q -> q^p; basis pairs never test x -> x^p, which the lift adds.
     p, cap = cfg.p, cfg.pair_cap
     ctx = fd.level_minus_one_ctx(p, cap=max(p * cap, DEFAULT_DEGREE_CAP))
     for n in range(cap + 1):

@@ -251,6 +251,20 @@ def test_envelope_check_rejects_negative_r_max(capsys):
     assert "non-negative" in err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["taylor", os.path.join(DATA, "taylor-a.json"), "--n-max", "-1"], "--n-max got -1"),
+    (["envelope-check", "--r-max", "-2"], "--r-max got -2"),
+    (["verify", "--suite", "qarith", "--trunc-N", "0"], "--trunc-N got 0"),
+    (["verify", "--suite", "qarith", "--deg-d", "-3"], "--deg-d got -3"),
+])
+def test_bounds_error_names_the_flag_and_its_value(capsys, argv, flag):
+    code, out, err = run(capsys, *argv, "--p", "2")
+    assert code == 2
+    assert out == ""
+    assert "non-negative" in err and flag in err
+    assert err.count("got") == 1
+
+
 def test_taylor_rejects_coefficient_outside_localization(tmp_path, capsys):
     doc = tmp_path / "half.json"
     doc.write_text(json.dumps({"side": "A", "coeffs": [

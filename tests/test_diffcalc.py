@@ -121,6 +121,48 @@ def test_compose_matches_the_leibniz_loop(p, m, plain):
             assert op_compose(a, b) == leibniz_compose(a, b)
 
 
+def shared_factor_ops(p, m):
+    """Operators whose coefficient denominators (1+q)(2+q), (1+q)(3+q), 2 (1+q)^2
+    and 3 share factors, so their common denominator is a proper lcm."""
+    h = QPoly((1, 1))
+    dens = [h * QPoly((2, 1)), h * QPoly((3, 1)), h * h * 2, QPoly(3)]
+    coeffs = [CoordPoly([LocScalar(QPoly(num), d) for num in nums]) for d, nums in zip(dens, (
+        [(1,), (0, 2), (5, -1, 1)], [(2, 1)], [(-1,), (), (1, 1)], [(0, 0, 1), (4,)]))]
+    return [TwistedDiffOp(p, m, dict(enumerate(coeffs))),
+            TwistedDiffOp(p, m, {1: coeffs[2], 3: coeffs[0] * x, 4: coeffs[3]}),
+            TwistedDiffOp(p, m, {0: coeffs[1] + 1, 2: coeffs[3] * coeffs[1]})]
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (5, 1), (2, 2)])
+def test_compose_over_shared_denominators_matches_leibniz_and_the_step_rule(p, m):
+    ops = shared_factor_ops(p, m)
+    for a in ops:
+        for b in ops:
+            got = op_compose(a, b)
+            assert got == leibniz_compose(a, b)
+            assert {n: c.to_json() for n, c in got.terms.items()} == {
+                n: c.to_json() for n, c in leibniz_compose(a, b).terms.items()}
+        ref = dict(b.terms)                       # D^<n> o b by the step rule
+        for n in range(4):
+            assert op_compose(gen(p, m, n), b) == TwistedDiffOp(p, m, ref)
+            ref = step_rule(p, m, ref)
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 2)])
+def test_compose_drops_an_output_coefficient_that_cancels(p, m):
+    # (D<1> - q^k x / (1+q)) o (x + (1+q) D<1>): at D<1>, sigma(x) = q^k x meets
+    # -q^k x / (1+q) times (1+q), and D<1>(1+q) = 0
+    k = p ** m
+    h = LocScalar(QPoly((1, 1)))
+    qk = QPoly((0,) * k + (1,))
+    d1 = TwistedDiffOp(p, m, {1: 1, 0: CoordPoly([0, LocScalar(qk, QPoly((1, 1))) * -1])})
+    d2 = TwistedDiffOp(p, m, {0: x, 1: CoordPoly(h)})
+    got = op_compose(d1, d2)
+    assert got.support() == [0, 2] and got == leibniz_compose(d1, d2)
+    assert got.coeff(2) == CoordPoly(h)
+    assert got.coeff(0) == CoordPoly(q_int(k)) + d1.coeff(0) * x
+
+
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "compose-golden.json")
 
 

@@ -8,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtwist import qarith
+from qtwist.coordring import add_rows
 from qtwist.qarith import (DIVISION_CUTOFF, HORNER_TERMS, KRONECKER_CUTOFF, LocScalar,
                            NotDivisibleError, ONE, QPoly, Q, _divexact, _divexact_packed,
                            _divmod_int, _gcd_cofactors, _scale,
                            _kron_pack, _kron_unpack, _mul, _mul_kronecker, _mul_schoolbook,
-                           _primitive, _pseudo_rem, _trim, cyclotomic,
+                           _neg, _primitive, _pseudo_rem, _trim, cyclotomic,
                            divide_by_cyclotomic_product,
-                           divide_exact, is_unit,
+                           divide_exact, is_unit, mul_q_int, mul_rows,
                            q_binomial, q_factorial,
                            q_factorial_cyclotomic_exponents, q_int,
                            random_locscalar, random_qpoly)
@@ -451,6 +452,73 @@ def test_kronecker_coefficients_at_the_bound(bits, n):
     assert _mul_kronecker(a, b) == _mul_schoolbook(a, b)
     assert _mul_kronecker(a, a) == _mul_schoolbook(a, a)
     assert _mul_kronecker(b, b)[n - 1] == n * m * m
+
+
+def rows_sum_reference(pairs):
+    """sum of the one-pair products mul_rows([(a, b)]), added row by row."""
+    out = ()
+    for a, b in pairs:
+        out = add_rows(out, mul_rows([(a, b)]))
+    return out
+
+
+def rows_by_schoolbook(a, b):
+    """The rows of (sum a_i x^i)(sum b_j x^j), one schoolbook product per pair of rows."""
+    out = ()
+    for i, r in enumerate(a):
+        for j, s in enumerate(b):
+            out = add_rows(out, ((),) * (i + j) + (_mul_schoolbook(r, s),))
+    return out
+
+
+@st.composite
+def row_operands(draw):
+    """Row tuples with a nonzero last row: empty, one row, or up to 4 rows with
+    empty rows inside; each row a short kernel operand."""
+    n = draw(st.integers(0, 4))
+    rows = [draw(st.one_of(st.just(()), kernel_operands(max_len=6))) for _ in range(n)]
+    return tuple(rows[:-1]) + (draw(kernel_operands(max_len=6)),) if rows else ()
+
+
+@given(st.lists(st.tuples(row_operands(), row_operands()), max_size=5))
+@settings(max_examples=150, deadline=None)
+def test_packed_sum_of_row_products_matches_the_sum_of_products(pairs):
+    assert mul_rows(pairs) == rows_sum_reference(pairs)
+    for a, b in pairs:
+        assert mul_rows([(a, b)]) == rows_by_schoolbook(a, b)
+    # the same products summed twice, once negated, cancel to no rows at all
+    assert mul_rows(pairs + [(a, tuple(_neg(r) for r in b)) for a, b in pairs]) == ()
+
+
+def test_packed_sum_edge_cases():
+    one, two = ((3, 1),), ((1,), (), (2, -1))
+    assert mul_rows([]) == () == mul_rows([((), two), (one, ())])
+    assert mul_rows([(one, two)]) == rows_by_schoolbook(one, two)       # row by row
+    assert mul_rows([(one, two), (two, one)]) == add_rows(*[rows_by_schoolbook(one, two)] * 2)
+    assert mul_rows([(two, two), ((), one)]) == rows_by_schoolbook(two, two)
+
+
+@pytest.mark.parametrize("w", [1, 2, 4, 8, 9, 16])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_packed_sum_digits_at_the_bound(w, sign):
+    # two one-row pairs (c1) (1) + (c2) (1): the one digit is c1 + c2 = +-S; at
+    # S = 2^(8w-1) - 1 it needs every bit of w bytes, at S + 1 a wider digit
+    for top in ((1 << (8 * w - 1)) - 1, 1 << (8 * w - 1)):
+        c1 = top // 3
+        pairs = [(((sign * c1,),), ((1,),)), (((sign * (top - c1),),), ((1,),))]
+        assert mul_rows(pairs) == ((sign * top,),)
+        # min(nnz) = 2 products per digit: twice (M + M q)(M + M q) has middle digit 4 M^2 = S
+        m = top.bit_length() // 2
+        big = ((1 << m) - 1,) * 2
+        assert mul_rows([((big,), ((sign * big[0],) * 2,))] * 2) == (
+            tuple(2 * sign * big[0] ** 2 * c for c in (1, 2, 1)),)
+
+
+@given(kernel_operands(max_len=30), st.integers(0, 40))
+@settings(max_examples=150, deadline=None)
+def test_window_sums_multiply_by_the_q_integer(a, n):
+    assert mul_q_int(a, n) == _mul(a, q_int(n).coeffs) == _mul_schoolbook(a, (1,) * n)
+    assert mul_q_int((), n) == ()
 
 
 # ---------------------------------------------------------------------------

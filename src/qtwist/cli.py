@@ -137,6 +137,8 @@ def _read_document(path, cls, what):
     except json.JSONDecodeError as e:
         raise UsageError(
             f"parse error in {path} at line {e.lineno}, column {e.colno}: {e.msg}")
+    except (RecursionError, ValueError) as e:     # nested too deep, or too many digits
+        raise UsageError(f"cannot parse {path}: {e}")
     try:
         return cls.from_json(data)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:

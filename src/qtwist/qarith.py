@@ -5,11 +5,13 @@ in ascending degree: a_0 + a_1*q + ... + a_n*q^n corresponds to
 (a_0, a_1, ..., a_n) with a_n != 0, and () for the zero polynomial.
 
 Products use the schoolbook loop, which skips the zero coefficients of
-both operands (it walks a list of b's nonzero terms), unless
-both operands have ``KRONECKER_CUTOFF`` (6) or more nonzero ones; then
-Kronecker substitution (Kronecker 1882; Harvey, J. Symb. Comput. 2009)
-packs each into one integer at q = X = 256^w, multiplies the two once
-and reads the product's coefficients off its signed base-X digits.  w is
+both operands (it walks a list of b's nonzero terms), unless both have
+``KRONECKER_CUTOFF`` (6) or more nonzero ones.  Every packed product is
+one ``_kron_sum``: Kronecker substitution (Kronecker 1882; Harvey, J.
+Symb. Comput. 2009) packs each operand into one integer at q = X = 256^w,
+multiplies and adds the integers, and reads the coefficients off the
+signed base-X digits, with 8w >= bits(S) + 1 for S = sum max|a| max|b|
+min(nnz a, nnz b) over the pairs, a bound on every coefficient.  w is
 rounded up to 1, 2, 4 or 8 bytes where that fits, so that the digits
 convert through an ``array`` in C, and wider ones through 8-byte limbs;
 up to 4 terms pack faster by shifts.
@@ -95,7 +97,7 @@ def _neg(a):
     return tuple(-c for c in a)
 
 
-KRONECKER_CUTOFF = 6    # nonzero terms each operand needs for _mul_kronecker
+KRONECKER_CUTOFF = 6    # nonzero terms each operand of _mul needs to be packed
 DIVISION_CUTOFF = 32    # dividends of this many terms go to _divexact_packed first
 HORNER_TERMS = 4        # _kron_pack packs operands this short by shifts, not as bytes
 
@@ -105,7 +107,7 @@ def _mul(a, b):
         return b if a == (1,) else a
     if (len(a) - a.count(0) >= KRONECKER_CUTOFF
             and len(b) - b.count(0) >= KRONECKER_CUTOFF):
-        return _mul_kronecker(a, b)
+        return _trim(_kron_sum([(a, b)]))
     return _mul_schoolbook(a, b)
 
 
@@ -122,14 +124,16 @@ def _mul_schoolbook(a, b):
 
 
 # the signed array type of each digit width that has one, where array
-# items are little-endian like the packed integers
+# items are little-endian like the packed integers, and the item size each
+# narrower width rounds up to
 _ITEM_CODES = {array(c).itemsize: c for c in "bhiq"} if sys.byteorder == "little" else {}
+_ITEM_FIT = {w: min(s for s in _ITEM_CODES if s >= w) for w in range(max(_ITEM_CODES, default=0))}
 
 
 def _digit_bytes(bits):
     """Bytes per digit of this many bits: an array item size if one fits."""
     w = (bits + 7) >> 3
-    return min((s for s in _ITEM_CODES if s >= w), default=w)
+    return _ITEM_FIT.get(w, w)
 
 
 def _kron_pack(a, w):
@@ -177,29 +181,21 @@ def _kron_unpack(x, w, m):
     return out
 
 
-def _mul_kronecker(a, b):
-    """Product by Kronecker substitution at q = 256^w.
-
-    A product coefficient is a sum of min(len(a), len(b)) terms, each below
-    2^(bits(a) + bits(b)) in absolute value, so with a sign bit on top it
-    fits in k = bits(a) + bits(b) + bitlen(min length) + 1 bits."""
-    if not a or not b:
-        return ()
-    k = (max(max(a), -min(a)).bit_length() + max(max(b), -min(b)).bit_length()
-         + min(len(a), len(b)).bit_length() + 1)
-    w = _digit_bytes(k)
-    x = _kron_pack(a, w)
-    y = x if b is a else _kron_pack(b, w)   # x * x takes CPython's squaring path
-    return _trim(_kron_unpack(x * y, w, len(a) + len(b) - 1))
-
-
 def _kron_sum(pairs):
-    """sum a*b over pairs of nonzero operands at one q = 256^w, 8w >= bits(S) + 1 for the
-    bound S = sum max|a| max|b| min(nnz a, nnz b) on a coefficient (min(nnz) terms in a*b)."""
-    s = sum(max(max(a), -min(a)) * max(max(b), -min(b))
-            * min(len(a) - a.count(0), len(b) - b.count(0)) for a, b in pairs)
-    w, m = _digit_bytes(s.bit_length() + 1), max(len(a) + len(b) for a, b in pairs) - 1
-    return _kron_unpack(sum(_kron_pack(a, w) * _kron_pack(b, w) for a, b in pairs), w, m)
+    """sum a*b over pairs of nonzero operands, packed at the one q = 256^w that the
+    bound S of the module docstring sets.  A pair with b is a packs once and squares.
+    A zero operand would give its pair no share of S, so the other could overflow
+    its digits; ``_mul`` and ``mul_rows`` pass none."""
+    s = m = x = 0
+    for a, b in pairs:
+        s += (max(max(a), -min(a)) * max(max(b), -min(b))
+              * min(len(a) - a.count(0), len(b) - b.count(0)))
+        m = max(m, len(a) + len(b) - 1)
+    w = _digit_bytes(s.bit_length() + 1)
+    for a, b in pairs:
+        y = _kron_pack(a, w)
+        x += y * (y if b is a else _kron_pack(b, w))    # y * y takes CPython's squaring path
+    return _kron_unpack(x, w, m)
 
 
 def mul_q_int(a, n):

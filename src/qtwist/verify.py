@@ -92,6 +92,15 @@ def _random_coordpoly(rng, p, side=SIDE_A, deg=3, sdeg=2, bound=6):
         [qa.random_locscalar(rng, p, sdeg, bound) for _ in range(deg + 1)], side)
 
 
+def _ring_map_cases(what, ctx, top, fn):
+    """The cases (where, F(ab), F(a) F(b)) of the ring map F = fn on the basis pairs
+    a = w[n1], b = w[n2] of ctx with n1 + n2 <= top."""
+    for n1 in range(top + 1):
+        for n2 in range(top + 1 - n1):
+            a, b = DPElem.basis(ctx, n1), DPElem.basis(ctx, n2)
+            yield f"{what} ({n1},{n2})", fn(a * b), fn(a) * fn(b)
+
+
 # ---------------------------------------------------------------------------
 # qarith
 # ---------------------------------------------------------------------------
@@ -293,11 +302,8 @@ def check_blowup_multiplicative(cfg, rng):
     p = cfg.p
     for m in (1, 2):
         src, tgt = DPContext(p, 0, qexp=p ** m), DPContext(p, m)
-        for n1 in range(7):
-            for n2 in range(7 - n1):
-                a, b = DPElem.basis(src, n1), DPElem.basis(src, n2)
-                yield (f"blow-up not multiplicative at m={m}, ({n1},{n2})",
-                       dp.blowup(a * b, tgt), dp.blowup(a, tgt) * dp.blowup(b, tgt))
+        yield from _ring_map_cases(f"blow-up not multiplicative at m={m},", src, 6,
+                                   lambda e: dp.blowup(e, tgt))
     return True, "blow-up by (p^m)_q is a ring map on pairs n1+n2 <= 6"
 
 
@@ -324,13 +330,8 @@ def check_generic_specialization(cfg, rng):
 
 @check("divpow.base-change-multiplicative", "xi^[n]_{q,y} -> xi^[n]_{q^p,y'} is a ring map")
 def check_base_change_multiplicative(cfg, rng):
-    ctx = DPContext(cfg.p, 1)
-    for n1 in range(7):
-        for n2 in range(7 - n1):
-            a, b = DPElem.basis(ctx, n1), DPElem.basis(ctx, n2)
-            yield (f"base change not multiplicative at ({n1},{n2})",
-                   dp.frobenius_base_change(a * b),
-                   dp.frobenius_base_change(a) * dp.frobenius_base_change(b))
+    yield from _ring_map_cases("base change not multiplicative at", DPContext(cfg.p, 1), 6,
+                               dp.frobenius_base_change)
     return True, "semilinear base change is a ring map on pairs n1+n2 <= 6"
 
 
@@ -361,12 +362,8 @@ def check_b_integrality(cfg, rng):
 def check_divf_multiplicative(cfg, rng):
     cap = cfg.pair_cap
     ctx = fd.level_minus_one_ctx(cfg.p, SIDE_APRIME, cap=max(cfg.p * cap, DEFAULT_DEGREE_CAP))
-    for n1 in range(cap + 1):
-        for n2 in range(cap + 1 - n1):
-            a, b = DPElem.basis(ctx, n1), DPElem.basis(ctx, n2)
-            yield (f"divided Frobenius not multiplicative at ({n1},{n2})",
-                   fd.divided_frobenius(a * b),
-                   fd.divided_frobenius(a) * fd.divided_frobenius(b))
+    yield from _ring_map_cases("divided Frobenius not multiplicative at", ctx, cap,
+                               fd.divided_frobenius)
     return True, f"basis pairs with n1+n2 <= {cap}"
 
 
@@ -409,11 +406,7 @@ def check_phi_dp_multiplicative(cfg, rng):
                for i in range(n, p * n + 1)}
         yield (f"lift disagrees with the (p)_q^i b-row at n={n}",
                fd.phi_dp(DPElem.basis(ctx, n)), DPElem(ctx, row))
-    for n1 in range(cap + 1):
-        for n2 in range(cap + 1 - n1):
-            a, b = DPElem.basis(ctx, n1), DPElem.basis(ctx, n2)
-            yield (f"lift not multiplicative at ({n1},{n2})",
-                   fd.phi_std(a * b), fd.phi_std(a) * fd.phi_std(b))
+    yield from _ring_map_cases("lift not multiplicative at", ctx, cap, fd.phi_std)
     return True, f"basis pairs with n1+n2 <= {cap}"
 
 
@@ -437,11 +430,8 @@ def check_phi_level_zero_formula(cfg, rng):
                fd.phi_level_zero(DPElem.basis(ctx0, n)),
                DPElem(ctx0, {i: CoordPoly.monomial(fd.coeff_b(n, i, p) * pq ** n, p * n - i)
                              for i in range(n, p * n + 1)}))
-    for n1 in range(5):
-        for n2 in range(5 - n1):
-            a, b = DPElem.basis(ctx0, n1), DPElem.basis(ctx0, n2)
-            yield (f"composite lift not multiplicative at ({n1},{n2})",
-                   fd.phi_level_zero(a * b), fd.phi_level_zero(a) * fd.phi_level_zero(b))
+    yield from _ring_map_cases("composite lift not multiplicative at", ctx0, 4,
+                               fd.phi_level_zero)
     return True, "base-change + blow-up + divided Frobenius matches the b-rows, n <= 6"
 
 

@@ -151,6 +151,18 @@ def test_undecodable_document_exits_two(tmp_path, capsys):
         assert err.startswith(f"error: cannot read {doc}: ") and "decode" in err
 
 
+@pytest.mark.parametrize("text, reason", [
+    ("[" * 100_000 + "]" * 100_000, "maximum recursion depth"),   # deeper than the parser
+    ('{"side": "A", "coeffs": [' + "1" * 5000 + "]}", "4300 digits"),  # past CPython's limit
+], ids=["deep-nesting", "long-integer"])
+def test_document_the_parser_cannot_hold_exits_two(tmp_path, capsys, text, reason):
+    doc = tmp_path / "huge.json"
+    doc.write_text(text)
+    code, out, err = run(capsys, "taylor", str(doc), "--p", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot parse {doc}: ") and reason in err
+
+
 def test_frobenius_example(tmp_path, capsys):
     ctx = level_minus_one_ctx(2, SIDE_APRIME)
     doc = tmp_path / "w.json"

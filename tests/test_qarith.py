@@ -12,7 +12,7 @@ from qtwist.coordring import add_rows
 from qtwist.qarith import (DIVISION_CUTOFF, HORNER_TERMS, KRONECKER_CUTOFF, LocScalar,
                            NotDivisibleError, ONE, QPoly, Q, _divexact, _divexact_packed,
                            _divmod_int, _gcd_cofactors, _scale,
-                           _kron_pack, _kron_unpack, _mul, _mul_kronecker, _mul_schoolbook,
+                           _kron_pack, _kron_sum, _kron_unpack, _mul, _mul_schoolbook,
                            _neg, _primitive, _pseudo_rem, _trim, cyclotomic,
                            divide_by_cyclotomic_product,
                            divide_exact, is_unit, mul_q_int, mul_rows,
@@ -334,13 +334,18 @@ def sparse_operands(draw, min_len=24, max_len=80):
     return tuple(out)
 
 
+def packed(a, b):
+    """a * b as one packed product, the way _mul makes it."""
+    return _trim(_kron_sum([(a, b)]))
+
+
 @given(kernel_operands(), kernel_operands())
 @settings(max_examples=150, deadline=None)
 def test_mul_matches_schoolbook(a, b):
     ref = _mul_schoolbook(a, b)
     assert _mul(a, b) == ref
-    assert _mul_kronecker(a, b) == ref
-    assert _mul_kronecker(a, a) == _mul_schoolbook(a, a)
+    assert packed(a, b) == ref
+    assert packed(a, a) == _mul_schoolbook(a, a)
 
 
 @given(st.one_of(
@@ -354,7 +359,17 @@ def test_mul_matches_schoolbook_near_cutoff_and_unbalanced(ab):
     a, b = ab
     ref = _mul_schoolbook(a, b)
     assert _mul(a, b) == ref == _mul(b, a)
-    assert _mul_kronecker(a, b) == ref == _mul_kronecker(b, a)
+    assert packed(a, b) == ref == packed(b, a)
+
+
+@given(kernel_operands(), kernel_operands())
+@settings(max_examples=80, deadline=None)
+def test_packed_squares_match_the_schoolbook_square(a, b):
+    # the pair (a, a) packs a once and squares; an equal copy of a multiplies two packings
+    square = _mul_schoolbook(a, a)
+    assert packed(a, a) == square == packed(a, (*a,))
+    assert _trim(_kron_sum([(a, a), (b, a), (b, b)])) == qarith._add(
+        square, _mul_schoolbook(b, qarith._add(a, b)))
 
 
 def schoolbook_every_term(a, b):
@@ -384,9 +399,10 @@ def test_schoolbook_skips_zeros_of_both_operands(ab):
 def test_kronecker_products_that_cancel(a, b):
     pa, pb = QPoly(a), QPoly(b)
     assert pa * (pb - pb) == QPoly()
-    assert _mul_kronecker(a, (0,) * len(b)) == ()
+    # an all-zero operand has no nonzero terms, so _mul never packs it
+    assert _mul(a, (0,) * len(b)) == () == _mul((0,) * len(a), b)
     # untrimmed operands: the top of the product is zero and is trimmed off
-    assert _mul_kronecker(a + (0,) * 5, b + (0,) * 3) == _mul_schoolbook(a, b)
+    assert packed(a + (0,) * 5, b + (0,) * 3) == _mul_schoolbook(a, b)
     assert (pa * pb - pb * pa).is_zero()
 
 
@@ -396,8 +412,8 @@ def test_kronecker_interior_cancellation(n):
     assert (qn - ONE) * (qn + ONE) == Q ** (2 * n) - ONE
     assert q_int(n) * QPoly((-1, 1)) == qn - ONE
     # these operands are sparse, so `*` takes the loop; check the packed kernel directly
-    assert _mul_kronecker((qn - ONE).coeffs, (qn + ONE).coeffs) == (Q ** (2 * n) - ONE).coeffs
-    assert _mul_kronecker(q_int(n).coeffs, (-1, 1)) == (qn - ONE).coeffs
+    assert packed((qn - ONE).coeffs, (qn + ONE).coeffs) == (Q ** (2 * n) - ONE).coeffs
+    assert packed(q_int(n).coeffs, (-1, 1)) == (qn - ONE).coeffs
 
 
 @pytest.mark.parametrize("w", [1, 2, 4, 7, 8, 26])
@@ -449,9 +465,9 @@ def test_kronecker_coefficients_at_the_bound(bits, n):
     m = (1 << bits) - 1
     a = (m,) * n
     b = (-m,) * n
-    assert _mul_kronecker(a, b) == _mul_schoolbook(a, b)
-    assert _mul_kronecker(a, a) == _mul_schoolbook(a, a)
-    assert _mul_kronecker(b, b)[n - 1] == n * m * m
+    assert packed(a, b) == _mul_schoolbook(a, b)
+    assert packed(a, a) == _mul_schoolbook(a, a)
+    assert packed(b, b)[n - 1] == n * m * m
 
 
 def rows_sum_reference(pairs):

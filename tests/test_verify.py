@@ -4,6 +4,8 @@ import os
 import pytest
 
 import qtwist.coordring as cr
+import qtwist.divpow as dp
+import qtwist.frobdiv as fd
 import qtwist.qarith as qa
 from qtwist import verify
 from qtwist.coordring import CoordPoly
@@ -90,3 +92,38 @@ def test_registry_matches_the_pinned_report():
     assert sorted(registered) == pinned
     assert all(cid.split(".")[0] == name
                for name, suite in verify.SUITES.items() for cid, _, _ in suite)
+
+
+@pytest.mark.parametrize("check, module, name, first", [
+    ("check_blowup_multiplicative", dp, "blowup",
+     "blow-up not multiplicative at m=1, (0,0)"),
+    ("check_base_change_multiplicative", dp, "frobenius_base_change",
+     "base change not multiplicative at (0,0)"),
+    ("check_divf_multiplicative", fd, "divided_frobenius",
+     "divided Frobenius not multiplicative at (0,0)"),
+    # the two lift checks test their b-rows first, through the patched map (phi_dp = blowup
+    # o phi_std), so a b-row fails before any pair
+    ("check_phi_dp_multiplicative", fd, "phi_std",
+     "lift disagrees with the (p)_q^i b-row at n=0"),
+    ("check_phi_level_zero_formula", fd, "phi_level_zero",
+     "composite lift disagrees with (p)_q^n b-row at n=0"),
+])
+def test_doubled_ring_map_fails_at_the_first_case(monkeypatch, check, module, name, first):
+    # 2F is additive but not multiplicative: 2F(1 * 1) = 2 != 4 = 2F(1) 2F(1)
+    real = getattr(module, name)
+
+    def doubled(e, *rest):
+        image = real(e, *rest)
+        return image + image
+
+    monkeypatch.setattr(module, name, doubled)
+    assert getattr(verify, check)(VerifyConfig()) == (False, first)
+
+
+def test_ring_map_cases_name_each_basis_pair():
+    ctx = verify.DPContext(2, 1)
+    cases = list(verify._ring_map_cases("lift not multiplicative at", ctx, 2, lambda e: e))
+    assert [where for where, _, _ in cases] == [
+        f"lift not multiplicative at ({n1},{n2})" for n1, n2 in
+        [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]]
+    assert all(lhs == rhs for _, lhs, rhs in cases)

@@ -76,18 +76,26 @@ def _emit(args, text):
 def _report(args, payload, lines, rows=None):
     """Write one report in args.format.
 
-    payload, lines and rows are thunks for the JSON document, the text
-    lines and the CSV rows (header first); only the requested one runs.
+    payload, lines and rows are thunks for the JSON document, the text lines and the CSV
+    rows (header first); only the requested one runs, with CPython's int-to-str digit cap
+    lifted: an exact result may outgrow any input, which parsing keeps under the cap.
     """
-    if args.format == "json":
-        text = _json(payload()) + "\n"
-    elif args.format == "csv":
-        buf = io.StringIO()
-        csv.writer(buf).writerows(rows())
-        text = buf.getvalue()
-    else:
-        text = "\n".join(lines()) + "\n"
-    _emit(args, text)
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()     # 0: no cap
+    if cap:
+        sys.set_int_max_str_digits(0)
+    try:
+        if args.format == "json":
+            text = _json(payload()) + "\n"
+        elif args.format == "csv":
+            buf = io.StringIO()
+            csv.writer(buf).writerows(rows())
+            text = buf.getvalue()
+        else:
+            text = "\n".join(lines()) + "\n"
+        _emit(args, text)
+    finally:
+        if cap:
+            sys.set_int_max_str_digits(cap)
 
 
 def _json(obj, indent="\n"):

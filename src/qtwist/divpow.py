@@ -13,12 +13,14 @@ Basis symbols are written xi^[n] below; they multiply by
         sum_i (-1)^i Q^(i(i-1)/2) C(n1, i)_Q C(n1+n2-i, n1)_Q y^i xi^[n1+n2-i]
 
 over 0 <= i <= min(n1, n2), with the constants taken from this closed
-form, sign and y-power included: term i is one scalar times x^i.  A
-product adds c1 c2 times each such term, in ``CoordPoly`` arithmetic, into
-the coefficient of its index.
+form, sign and y-power included: term i is one integral scalar s_i times x^i.
 ``_struct_consts_oracle`` recomputes them independently in Q(q) by
 clearing q-factorials out of products of twisted powers, with an
 integrality assertion; it is only the reference the checks compare with.
+``dp_mul`` is fraction-free: with u = sum a_n1 / alpha xi^[n1] and v = sum b_n2 / beta
+xi^[n2] in integer rows over one denominator each (``coordring.common_rows``), it forms
+each row product a_n1 b_n2 once, adds it times s_i x^i into the rows of index n1 + n2 - i
+(indices in the order of first touch) and divides each index once by alpha beta.
 
 The divided powers are formal basis symbols: the algebra is never embedded
 in a polynomial ring, since the q-factorials are not invertible here.
@@ -29,10 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
-from .qarith import (LocScalar, ONE, ONE_SCALAR, QPoly, is_decimal, json_fields,
-                     q_binomial, q_binomial_pow, q_factorial, q_int_pow)
+from .qarith import (LocScalar, ONE, ONE_SCALAR, QPoly, _mul, is_decimal, json_fields,
+                     mul_rows, q_binomial, q_binomial_pow, q_factorial, q_int_pow)
 from .coordring import (CoordPoly, SIDE_A, SIDE_APRIME, SideMismatchError, SparseModule,
-                        accumulate, on_side, pullback_map)
+                        accumulate, add_rows, common_rows, on_side, pullback_map)
 
 DEFAULT_DEGREE_CAP = 16
 PRIMES = (2, 3, 5, 7)
@@ -181,10 +183,10 @@ def to_twisted_basis(f, ctx):
 
 @lru_cache(maxsize=None)
 def _struct_consts_closed(n1, n2, k, qexp):
-    """Structure constants from the closed form, as pairs (i, LocScalar).
+    """Structure constants from the closed form, as pairs (i, integer rows).
 
-    Entry i is the coefficient of x^i xi^[n1+n2-i], sign and y-power
-    included: Q^(i(i-1)/2) C(n1, i)_Q C(n1+n2-i, n1)_Q (q^qexp - 1)^i
+    Entry i holds the rows of the term s_i x^i at xi^[n1+n2-i], sign and
+    y-power included: s_i = Q^(i(i-1)/2) C(n1, i)_Q C(n1+n2-i, n1)_Q (q^qexp - 1)^i
     with Q = q^k, since (-1)^i y^i = (q^qexp - 1)^i x^i.
     """
     c = QPoly((0,) * qexp + (1,)) - ONE
@@ -192,7 +194,7 @@ def _struct_consts_closed(n1, n2, k, qexp):
     for i in range(min(n1, n2) + 1):
         g = (q_binomial_pow(n1, i, k) * q_binomial_pow(n1 + n2 - i, n1, k)
              ).shifted(k * (i * (i - 1) // 2))
-        out.append((i, LocScalar(g * c ** i)))
+        out.append((i, ((),) * i + ((g * c ** i).coeffs,)))
     return tuple(out)
 
 
@@ -217,15 +219,6 @@ def _struct_consts_oracle(n1, n2):
     return tuple(out)
 
 
-def dp_structure_terms(ctx, n1, n2):
-    """Terms of the product of basis elements n1 and n2, by the closed form.
-
-    Yields (index, CoordPoly coefficient) pairs.
-    """
-    for i, s in _struct_consts_closed(n1, n2, ctx.twist, ctx.qexp):
-        yield n1 + n2 - i, CoordPoly.monomial(s, i, ctx.side)
-
-
 def twisted_power_mul(n1, n2, ctx):
     """Product of twisted powers on the twisted-power basis.
 
@@ -239,9 +232,7 @@ def twisted_power_mul(n1, n2, ctx):
         sign = -1 if i % 2 else 1
         scal = (q_factorial(i).stretch(k) * q_binomial_pow(n1, i, k)
                 * q_binomial_pow(n2, i, k)).shifted(k * (i * (i - 1) // 2)) * sign
-        coeff = y ** i * scal
-        if not coeff.is_zero():
-            out[n1 + n2 - i] = coeff
+        out[n1 + n2 - i] = y ** i * scal
     return out
 
 
@@ -309,16 +300,18 @@ class DPElem(SparseModule):
 
 
 def dp_mul(u, v):
-    """Product in the divided-power algebra, bilinear over the basis rule, summed
-    per index in CoordPoly arithmetic; indices keep the order of their first term."""
+    """Product in the divided-power algebra, fraction-free (module docstring)."""
     u._check(v)
-    out = {}
-    for n1, c1 in u.terms.items():
-        for n2, c2 in v.terms.items():
-            c12 = c1 * c2
-            for n, t in dp_structure_terms(u.ctx, n1, n2):
-                accumulate(out, n, c12 * t)
-    return DPElem(u.ctx, out)
+    ctx, out = u.ctx, {}
+    (a, alpha), (b, beta) = common_rows(u.terms), common_rows(v.terms)
+    for n1, r1 in a.items():
+        for n2, r2 in b.items():
+            c12 = mul_rows(((r1, r2),))
+            for i, t in _struct_consts_closed(n1, n2, ctx.twist, ctx.qexp):
+                n = n1 + n2 - i
+                out[n] = add_rows(out.get(n, ()), mul_rows(((c12, t),)))
+    den = _mul(alpha, beta)
+    return DPElem(ctx, {n: CoordPoly.from_rows(r, den, ctx.side) for n, r in out.items() if r})
 
 
 def blowup(e, ctx):

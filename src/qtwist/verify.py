@@ -321,10 +321,9 @@ def check_generic_specialization(cfg, rng):
                         n1 + n2 - i: CoordPoly.monomial(
                             g.stretch(k) * (-1 if i % 2 else 1) * c ** i, i)
                         for i, g in dp._struct_consts_oracle(n1, n2)}
-                    closed = dict(dp.dp_structure_terms(ctx, n1, n2))
-                    yield (f"constants differ at m={m}, mode={mode}, ({n1},{n2})",
-                           {n: v for n, v in oracle.items() if not v.is_zero()},
-                           {n: v for n, v in closed.items() if not v.is_zero()})
+                    closed = {n1 + n2 - i: CoordPoly.from_rows(t, (1,), ctx.side) for i, t
+                              in dp._struct_consts_closed(n1, n2, ctx.twist, ctx.qexp)}
+                    yield f"constants differ at m={m}, mode={mode}, ({n1},{n2})", oracle, closed
     return True, "field-oracle constants specialize to the closed form, n <= 6"
 
 

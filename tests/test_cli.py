@@ -163,6 +163,19 @@ def test_document_the_parser_cannot_hold_exits_two(tmp_path, capsys, text, reaso
     assert err.startswith(f"error: cannot parse {doc}: ") and reason in err
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_results_past_the_digit_limit_of_inputs_are_written(tmp_path, capsys, fmt):
+    # the x^2 coefficient has 4,300 digits, the most an input may have; D^<1> and D^<2>
+    # multiply it by q-integers, so the expansion has coefficients with 4,301
+    doc = tmp_path / "nines.json"
+    doc.write_text(json.dumps(CoordPoly([0, 0, int("9" * 4300)]).to_json()))
+    cap = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "taylor", str(doc), "--p", "3", "--n-max", "2", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert "1" + "9" * 4299 + "8" in out          # 2 * (10^4300 - 1), 4,301 digits
+    assert sys.get_int_max_str_digits() == cap
+
+
 def test_frobenius_example(tmp_path, capsys):
     ctx = level_minus_one_ctx(2, SIDE_APRIME)
     doc = tmp_path / "w.json"

@@ -4,12 +4,12 @@ import random
 
 import pytest
 
-from qtwist.qarith import ONE, QPoly, Q, q_binomial_pow, q_factorial, q_int, random_locscalar
-from qtwist.coordring import CoordPoly, SIDE_A, SIDE_APRIME, accumulate
+from qtwist.qarith import (ONE, LocScalar, QPoly, Q, q_binomial_pow, q_factorial, q_int,
+                           random_locscalar)
+from qtwist.coordring import CoordPoly, SIDE_A, SIDE_APRIME, accumulate, common_rows
 from qtwist.divpow import (DegreeCapError, DPContext, DPElem, XiPoly, _struct_consts_closed,
-                           _struct_consts_oracle, blowup, dp_structure_terms,
-                           frobenius_base_change, to_twisted_basis,
-                           twisted_power_expand, twisted_power_mul)
+                           _struct_consts_oracle, blowup, dp_mul, frobenius_base_change,
+                           to_twisted_basis, twisted_power_expand, twisted_power_mul)
 
 x = CoordPoly.x()
 
@@ -87,6 +87,65 @@ def test_dp_mul_associative_commutative(p, m):
         assert (u * v) * w == u * (v * w)
 
 
+def dp_structure_terms(ctx, n1, n2):
+    """The (index, CoordPoly) terms of xi^[n1] xi^[n2], from the closed-form constants."""
+    for i, t in _struct_consts_closed(n1, n2, ctx.twist, ctx.qexp):
+        yield n1 + n2 - i, CoordPoly.from_rows(t, (1,), ctx.side)
+
+
+def dp_mul_reference(u, v):
+    """u v in CoordPoly arithmetic: c1 c2 times one structure term at a time, summed per
+    index; indices keep the order of their first term."""
+    u._check(v)
+    out = {}
+    for n1, c1 in u.terms.items():
+        for n2, c2 in v.terms.items():
+            c12 = c1 * c2
+            for n, t in dp_structure_terms(u.ctx, n1, n2):
+                accumulate(out, n, c12 * t)
+    return DPElem(u.ctx, out)
+
+
+def assert_matches_reference(u, v):
+    got, ref = dp_mul(u, v), dp_mul_reference(u, v)
+    assert list(got.terms) == list(ref.terms)
+    assert json.dumps(got.to_json()) == json.dumps(ref.to_json())
+
+
+@pytest.mark.parametrize("side", [SIDE_A, SIDE_APRIME])
+@pytest.mark.parametrize("m", [0, 1, 2])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_dp_mul_matches_the_reference_bytes_and_key_order(p, m, side):
+    # side A at qexp 1, side A' at qexp p (after base change)
+    ctx = DPContext(p, m, side, 1 if side == SIDE_A else p)
+    rng = random.Random(100 * p + 10 * m + (side == SIDE_A))
+
+    def rand_elem():
+        return DPElem(ctx, {n: CoordPoly([random_locscalar(rng, p, 2, 5)
+                                          for _ in range(rng.randint(1, 3))], ctx.side)
+                            for n in rng.sample(range(5), rng.randint(2, 3))})
+
+    zero = DPElem(ctx, {})      # two indices each: some pair has both indices >= 1, so i >= 1
+    for u, v in [(rand_elem(), rand_elem()) for _ in range(3)] + [
+            (zero, rand_elem()), (rand_elem(), zero), (zero, zero)]:
+        assert_matches_reference(u, v)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_dp_mul_matches_the_reference_over_denominators_with_shared_factors(p):
+    # each denominator shares a factor with the lcm of those before it, so common_rows
+    # rescales the rows it has already written
+    q1, q2, q3 = QPoly([1, 1]), QPoly([2, 1]), QPoly([3, 1])
+    dens = [q1 * q2, q1 * q3, q1 * q1 * 2, QPoly([3])]
+    for ctx in (DPContext(p, 1), DPContext(p, 0, SIDE_APRIME, p)):
+        u, v = (DPElem(ctx, {n: CoordPoly([LocScalar(QPoly([n, 1]), d), LocScalar(ONE, d)],
+                                          ctx.side) for n, d in enumerate(ds)})
+                for ds in (dens, dens[::-1]))
+        assert len(common_rows(u.terms)[1]) == 5       # 6 (1+q)^2 (2+q)(3+q), up to a unit
+        for a, b in ((u, v), (v, u), (u, u)):
+            assert_matches_reference(a, b)
+
+
 @pytest.mark.parametrize("p,m,mode", [(2, 0, "level"), (3, 1, "level"), (5, 1, "standard")])
 def test_dp_mul_is_bilinear_over_the_structure_terms(p, m, mode):
     ctx = ctx_of(p, m, mode)
@@ -138,6 +197,7 @@ def test_dp_mul_matches_the_term_by_term_product_bytes_and_key_order(p):
         for u, v in pairs + [cancelling]:
             got, ref = u * v, _dp_mul_by_terms(u, v)
             assert json.dumps(got.to_json()) == json.dumps(ref.to_json())
+            assert_matches_reference(u, v)
 
 
 def _basis_product_by_closed_form(ctx, n1, n2):

@@ -23,6 +23,7 @@ import sys
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 
+from .qarith import NotDivisibleError
 from .coordring import CoordPoly, LocalizationError, SIDE_A, SIDE_APRIME, check_localized
 from .divpow import DPElem, LEVELS, PRIMES
 from .frobdiv import (FrobCoeffTable, MembershipError, default_r_max,
@@ -224,33 +225,45 @@ def cmd_frobenius(args):
     return 0
 
 
+def _identity_report(check, inputs, failed):
+    """check(*inputs); if the identity under check fails by raising a membership or
+    divisibility error (a failed check, as verify counts it), the report `failed` with
+    "ok": false and the message.  Any other exception propagates."""
+    try:
+        return check(*inputs)
+    except (MembershipError, NotDivisibleError) as e:
+        return {**failed, "ok": False, "error": f"{type(e).__name__}: {e}"}
+
+
+def _verdict(rep):
+    return "ok" if rep["ok"] else f"FAILED: {rep['error']}" if "error" in rep else "FAILED"
+
+
 def cmd_envelope_check(args):
     r_max = args.r_max if args.r_max is not None else default_r_max(args.p)
-    rep = envelope_basis_check(r_max, args.p)
+    rep = _identity_report(envelope_basis_check, (r_max, args.p),
+                           {"p": args.p, "r_max": r_max, "rows": []})
     _report(args,
             lambda: rep,
             lambda: [f"envelope basis congruences for p = {args.p}, r <= {r_max}"] + [
                 f"r={row['r']}: congruent={row['congruent']} c={row['c']} unit={row['c_unit']}"
                 + (f" valuations=({row['phi_valuation']},{row['power_valuation']})"
                    f" ok={row['valuations_ok']}" if "phi_valuation" in row else "")
-                for row in rep["rows"]] + ["ok" if rep["ok"] else "FAILED"])
+                for row in rep["rows"]] + [_verdict(rep)])
     return 0 if rep["ok"] else 1
 
 
 def cmd_u_check(args):
     if args.n_max == 0:
         raise UsageError("--n-max must be at least 1: index 0 checks nothing")
-    try:
-        rep = u_consistency_check(args.p, args.n_max)
-    except MembershipError as e:
-        _emit(args, f"FAILED: {e}\n")
-        return 1
+    rep = _identity_report(u_consistency_check, (args.p, args.n_max),
+                           {"p": args.p, "checks": []})
     _report(args,
             lambda: rep,
             lambda: [f"diagonal-map checks for p = {args.p}",
                      *(f"[{'pass' if c['ok'] else 'fail'}] {c['id']}: {c['detail']}"
                        for c in rep["checks"]),
-                     "ok" if rep["ok"] else "FAILED"])
+                     _verdict(rep)])
     return 0 if rep["ok"] else 1
 
 

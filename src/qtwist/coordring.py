@@ -42,7 +42,7 @@ from itertools import chain, zip_longest
 
 from .qarith import (LocScalar, ONE_SCALAR, QPoly, ZERO_SCALAR, _add, _divexact,
                      _gcd_cofactors, _mul, _neg, _reduce_pair, _stretch, _trim, divide_exact,
-                     json_fields, mul_q_int, mul_rows, power, q_int_pow)
+                     json_fields, mul_q_int, mul_rows, power, q_int)
 
 SIDE_A = "A"
 SIDE_APRIME = "A'"
@@ -334,13 +334,14 @@ def delta(f, p):
 def _derivative(f, k, j):
     """sum_d (dj)_{q^k} f_d x^(d-1), on the rows, or on the view of an element without rows."""
     if f._rows is None:
-        return CoordPoly([c * q_int_pow(d * j, k) for d, c in enumerate(f._coeffs) if d], f.side)
+        return CoordPoly([c * q_int(d * j).stretch(k) for d, c in enumerate(f._coeffs) if d],
+                         f.side)
     return CoordPoly.from_rows(derivative_rows(f._rows, k, j), f._den, f.side)
 
 
 def derivative_rows(rows, k, j):
     """The same sum on integer rows; (dj)_q multiplies by window sums (``mul_q_int``)."""
-    return tuple(mul_q_int(r, d * j) if k == 1 else _mul(r, q_int_pow(d * j, k).coeffs)
+    return tuple(mul_q_int(r, d * j) if k == 1 else _mul(r, q_int(d * j).stretch(k).coeffs)
                  for d, r in enumerate(rows) if d)
 
 
@@ -400,14 +401,16 @@ class SparseModule:
 
     Subclasses store their context, then call ``_store``; they supply
     ``_context`` (the constructor arguments before ``terms``, compared
-    when combining), ``_coeff`` (normalise one coefficient),
-    ``_scalar_types`` (the operands read as scalars) and ``_product``.
-    ``_basis_key`` may validate or rewrite the key of a nonzero term.
+    when combining), ``_coeff`` (normalise one coefficient), ``_symbol``
+    (a key as printed) and ``_zero_repr``.  They may override
+    ``_scalar_types`` (the operands read as scalars), ``_product`` (keys
+    add) and ``_basis_key`` (validate or rewrite the key of a nonzero term).
     """
 
     __slots__ = ("terms",)
 
     _unit_key = 0
+    _scalar_types = _SCALARS + (CoordPoly,)
 
     def _store(self, terms):
         out = {}
@@ -472,6 +475,13 @@ class SparseModule:
 
     __rmul__ = __mul__
 
+    def _product(self, other):
+        out = {}
+        for i, a in self.terms.items():
+            for j, b in other.terms.items():
+                accumulate(out, i + j, a * b)
+        return self._new(out)
+
     def __pow__(self, n):
         # repeated multiplication: squaring measured slower on DPElem powers
         if n < 0:
@@ -484,6 +494,10 @@ class SparseModule:
     def map_coeffs(self, fn):
         return self._new({k: fn(c) for k, c in self.terms.items()})
 
+    def __repr__(self):
+        return " + ".join(f"({c})*{self._symbol(k)}"
+                          for k, c in sorted(self.terms.items())) or self._zero_repr
+
 
 # ---------------------------------------------------------------------------
 # A tensor_{A'} A
@@ -495,8 +509,9 @@ class BiCoordPoly(SparseModule):
     __slots__ = ("p",)
 
     _coeff = staticmethod(_as_scalar)
-    _scalar_types = (int, QPoly, LocScalar)
+    _scalar_types = _SCALARS
     _unit_key = (0, 0)
+    _zero_repr = "BiCoordPoly(0)"
 
     def __init__(self, p, terms=None):
         self.p = p
@@ -519,14 +534,9 @@ class BiCoordPoly(SparseModule):
                 accumulate(out, (i1 + i2, j1 + j2), c1 * c2)
         return BiCoordPoly(self.p, out)
 
-    def __repr__(self):
-        if not self.terms:
-            return "BiCoordPoly(0)"
-        bits = []
-        for (i, j), c in sorted(self.terms.items()):
-            mono = "".join(s for s, e in (("x1^%d" % i, i), ("x2^%d" % j, j)) if e)
-            bits.append(f"({c})*{mono or '1'}")
-        return " + ".join(bits)
+    @staticmethod
+    def _symbol(k):
+        return "".join(f"x{v}^{e}" for v, e in zip((1, 2), k) if e) or "1"
 
 
 def tensor_embed_left(f, p):

@@ -33,7 +33,7 @@ f -> sum_i D^<i>(f) w[i].
 
 from __future__ import annotations
 
-from .qarith import LocScalar, QPoly, _mul, mul_rows
+from .qarith import _mul, mul_rows
 # q_derivative is unused here but stays bound: perfbench instruments it by name
 from .coordring import (CoordPoly, SIDE_A, SparseModule, add_rows, common_rows, derivative_rows,
                         level_derivative, on_side, q_derivative, sigma_rows)
@@ -45,7 +45,7 @@ class TwistedDiffOp(SparseModule):
 
     __slots__ = ("p", "m")
 
-    _scalar_types = (int, QPoly, LocScalar, CoordPoly)
+    _symbol, _zero_repr = "D<{}>".format, "TwistedDiffOp(0)"
 
     def __init__(self, p, m, terms=None):
         self.p = p
@@ -68,11 +68,6 @@ class TwistedDiffOp(SparseModule):
     @classmethod
     def scalar(cls, p, m, f):
         return cls(p, m, {0: f})
-
-    def __repr__(self):
-        if not self.terms:
-            return "TwistedDiffOp(0)"
-        return " + ".join(f"({c})*D<{n}>" for n, c in sorted(self.terms.items()))
 
 
 def op_compose(d1, d2):

@@ -32,9 +32,9 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .qarith import (LocScalar, ONE, ONE_SCALAR, QPoly, _mul, is_decimal, json_fields,
-                     mul_rows, q_binomial, q_binomial_pow, q_factorial, q_int_pow)
+                     mul_rows, q_binomial, q_factorial, q_int)
 from .coordring import (CoordPoly, SIDE_A, SIDE_APRIME, SideMismatchError, SparseModule,
-                        accumulate, add_rows, common_rows, on_side, pullback_map)
+                        add_rows, common_rows, on_side, pullback_map)
 
 DEFAULT_DEGREE_CAP = 16
 PRIMES = (2, 3, 5, 7)
@@ -109,7 +109,7 @@ class XiPoly(SparseModule):
 
     __slots__ = ("side",)
 
-    _scalar_types = (int, QPoly, LocScalar, CoordPoly)
+    _symbol, _zero_repr = "xi^{}".format, "0"
 
     def __init__(self, coeffs=(), side=SIDE_A):
         if isinstance(coeffs, CoordPoly):
@@ -130,19 +130,9 @@ class XiPoly(SparseModule):
     def _coeff(self, c):
         return on_side(c, self.side, "mixed sides in XiPoly")
 
-    def _product(self, other):
-        out = {}
-        for i, a in self.terms.items():
-            for j, b in other.terms.items():
-                accumulate(out, i + j, a * b)
-        return XiPoly(out, self.side)
-
     @property
     def coeffs(self):
         return tuple(self.coeff(d) for d in range(max(self.terms, default=-1) + 1))
-
-    def __repr__(self):
-        return " + ".join(f"({c})*xi^{d}" for d, c in sorted(self.terms.items())) or "0"
 
 
 def twisted_power_expand(n, ctx):
@@ -157,7 +147,7 @@ def twisted_power_expand(n, ctx):
     xi = XiPoly.gen(ctx.side)
     y = ctx.y_coordpoly()
     for i in range(n):
-        out = out * (xi + XiPoly((y * q_int_pow(i, ctx.twist),), ctx.side))
+        out = out * (xi + XiPoly((y * q_int(i).stretch(ctx.twist),), ctx.side))
     return out
 
 
@@ -172,7 +162,7 @@ def to_twisted_basis(f, ctx):
     rest = list(f.coeffs)
     out = {}
     for i in range(len(rest)):
-        a = y * q_int_pow(i, ctx.twist)
+        a = y * q_int(i).stretch(ctx.twist)
         for k in range(len(rest) - 1, 0, -1):
             rest[k - 1] = rest[k - 1] - a * rest[k]
         c = rest.pop(0)
@@ -192,7 +182,7 @@ def _struct_consts_closed(n1, n2, k, qexp):
     c = QPoly((0,) * qexp + (1,)) - ONE
     out = []
     for i in range(min(n1, n2) + 1):
-        g = (q_binomial_pow(n1, i, k) * q_binomial_pow(n1 + n2 - i, n1, k)
+        g = (q_binomial(n1, i).stretch(k) * q_binomial(n1 + n2 - i, n1).stretch(k)
              ).shifted(k * (i * (i - 1) // 2))
         out.append((i, ((),) * i + ((g * c ** i).coeffs,)))
     return tuple(out)
@@ -230,8 +220,8 @@ def twisted_power_mul(n1, n2, ctx):
     y = ctx.y_coordpoly()
     for i in range(min(n1, n2) + 1):
         sign = -1 if i % 2 else 1
-        scal = (q_factorial(i).stretch(k) * q_binomial_pow(n1, i, k)
-                * q_binomial_pow(n2, i, k)).shifted(k * (i * (i - 1) // 2)) * sign
+        scal = (q_factorial(i).stretch(k) * q_binomial(n1, i).stretch(k)
+                * q_binomial(n2, i).stretch(k)).shifted(k * (i * (i - 1) // 2)) * sign
         out[n1 + n2 - i] = y ** i * scal
     return out
 
@@ -241,7 +231,7 @@ class DPElem(SparseModule):
 
     __slots__ = ("ctx",)
 
-    _scalar_types = (int, QPoly, LocScalar, CoordPoly)
+    _zero_repr = "DPElem(0)"
 
     def __init__(self, ctx, terms=None):
         self.ctx = ctx
@@ -276,12 +266,8 @@ class DPElem(SparseModule):
         """Drop basis indices above cap (reduction mod the filtration)."""
         return DPElem(self.ctx, {n: c for n, c in self.terms.items() if n <= cap})
 
-    def __repr__(self):
-        if not self.terms:
-            return "DPElem(0)"
-        sym = "w" if self.ctx.m > 0 else "xi"
-        return " + ".join(f"({c})*{sym}[{n}]"
-                          for n, c in sorted(self.terms.items()))
+    def _symbol(self, n):
+        return f"{'w' if self.ctx.m > 0 else 'xi'}[{n}]"
 
     def to_json(self):
         return {"ctx": self.ctx.to_json(),
@@ -323,7 +309,7 @@ def blowup(e, ctx):
     src = replace(ctx, m=0, qexp=ctx.twist)
     if e.ctx != src:
         raise ValueError(f"blow-up into {ctx} takes elements of {src}, not of {e.ctx}")
-    z = LocScalar(q_int_pow(ctx.p ** ctx.m, ctx.qexp))
+    z = LocScalar(q_int(ctx.p ** ctx.m).stretch(ctx.qexp))
     out, zn, k = {}, ONE_SCALAR, 0
     for n in sorted(e.terms):            # zn = z^n by one product per index
         while k < n:

@@ -52,8 +52,7 @@ from math import prod
 
 from .qarith import (LocScalar, NotDivisibleError, ONE, QPoly, _divisors, _kron_pack,
                      cyclotomic, divide_by_cyclotomic_product, divide_exact, is_unit,
-                     q_binomial, q_binomial_pow, q_factorial,
-                     q_factorial_cyclotomic_exponents, q_int)
+                     q_binomial, q_factorial, q_factorial_cyclotomic_exponents, q_int)
 from .coordring import (BiCoordPoly, CoordPoly, SIDE_A, SIDE_APRIME, accumulate,
                         phi_abs, rel_frobenius, tensor_embed_left)
 from .divpow import (DEFAULT_DEGREE_CAP, DPContext, DPElem, XiPoly, blowup,
@@ -77,7 +76,7 @@ def coeff_a(n, i, p):
     for j in range(n + 1):
         if p * j < i:
             continue
-        term = (q_binomial_pow(n, j, p) * q_binomial(p * j, i)
+        term = (q_binomial(n, j).stretch(p) * q_binomial(p * j, i)
                 ).shifted(p * (n - j) * (n - j - 1) // 2)
         acc = acc + term if (n - j) % 2 == 0 else acc - term
     return acc
@@ -327,8 +326,9 @@ def envelope_basis_check(r_max, p):
     Also records, at q = 1, the p-adic valuations of the top coefficients
     of phi(w[p^r]) and (w[p^r])^p (expected p^(r+1) and 1); these rows
     are only produced while p^(r+1) <= VALUATION_CAP, since they need the
-    coefficient table up to index p^r.  Returns a report dict; raises
-    nothing, failures are flagged in the rows.
+    coefficient table up to index p^r.  Returns a report dict with failed
+    congruences flagged in the rows; raises NotDivisibleError (from
+    delta_dp) when some phi(e) - e^p is not divisible by p.
     """
     cap = max(p ** r_max, min(p ** (r_max + 1), VALUATION_CAP), DEFAULT_DEGREE_CAP)
     ctx = level_minus_one_ctx(p, cap=cap)

@@ -563,23 +563,6 @@ def q_binomial(n, k):
 
 
 @lru_cache(maxsize=None)
-def q_int_pow(n, j):
-    """q_int(n) in the variable q^j."""
-    return q_int(n).stretch(j)
-
-
-@lru_cache(maxsize=None)
-def q_binomial_pow(n, k, j):
-    """Gaussian binomial in the variable q^j."""
-    return q_binomial(n, k).stretch(j)
-
-
-@lru_cache(maxsize=None)
-def q_factorial_pow(n, j):
-    return q_factorial(n).stretch(j)
-
-
-@lru_cache(maxsize=None)
 def cyclotomic(d):
     """The d-th cyclotomic polynomial, by exact division of q^d - 1."""
     if d < 1:

@@ -287,12 +287,12 @@ def check_factorial_map(cfg, rng):
         k = ctx.twist
         for n1 in range(9):
             for n2 in range(9 - n1):
-                lhs = sum((DPElem.basis(ctx, idx, CoordPoly(qa.q_factorial_pow(idx, k))) * c
+                lhs = sum((DPElem.basis(ctx, idx, CoordPoly(qa.q_factorial(idx).stretch(k))) * c
                            for idx, c in dp.twisted_power_mul(n1, n2, ctx).items()),
                           DPElem(ctx, {}))
                 yield (f"factorial map not multiplicative at m={m}, ({n1},{n2})", lhs,
-                       DPElem.basis(ctx, n1, CoordPoly(qa.q_factorial_pow(n1, k)))
-                       * DPElem.basis(ctx, n2, CoordPoly(qa.q_factorial_pow(n2, k))))
+                       DPElem.basis(ctx, n1, CoordPoly(qa.q_factorial(n1).stretch(k)))
+                       * DPElem.basis(ctx, n2, CoordPoly(qa.q_factorial(n2).stretch(k))))
     return True, "twisted-power products match divided products, n1+n2 <= 8"
 
 
@@ -443,7 +443,7 @@ def check_delta_xi_blowup(cfg, rng):
     lvl = fd.level_minus_one_ctx(p, cap=cap)
 
     def blow(f):
-        return DPElem(lvl, {n: c * (qa.q_factorial_pow(n, p) * q_int(p) ** n)
+        return DPElem(lvl, {n: c * (qa.q_factorial(n).stretch(p) * q_int(p) ** n)
                             for n, c in dp.to_twisted_basis(f, std).items()})
 
     xi = dp.XiPoly.gen()

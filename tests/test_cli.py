@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qtwist
+import qtwist.frobdiv as frobdiv
 from qtwist.cli import _json, build_parser, main
 from qtwist.coordring import CoordPoly, SIDE_APRIME
 from qtwist.divpow import DPElem
@@ -83,6 +84,18 @@ def test_verify_defaults_are_verify_config_defaults():
     shared = {f.name for f in dataclasses.fields(VerifyConfig)} & set(args)
     assert shared == {"p", "m", "n_max", "trunc_N", "deg_d", "seed"}
     assert VerifyConfig(**{name: args[name] for name in shared}) == VerifyConfig()
+
+
+def test_every_cmp_pin_parses_and_names_existing_files():
+    from cmp_pins import pins
+
+    root = os.path.dirname(os.path.dirname(__file__))
+    rows = pins()
+    assert len(rows) == 27 and len({expected for _, expected in rows}) == 27
+    for argv, expected in rows:
+        args = build_parser().parse_args(argv)
+        assert args.format == "json" and os.path.isfile(os.path.join(root, expected)), argv
+        assert not hasattr(args, "input") or os.path.isfile(os.path.join(root, args.input))
 
 
 def test_package_runs_as_a_module():
@@ -239,6 +252,52 @@ def test_u_check_default_n_cap_is_p(capsys):
     assert checks["kills-divided-frobenius"]["detail"].startswith("indices 1..3:")
     code, _, err = run(capsys, "u-check", "--p", "3", "--n-max", "0")
     assert code == 2 and "at least 1" in err
+
+
+def _plant_membership_failure(monkeypatch):
+    def u_of_twisted_power(n, p):
+        raise frobdiv.MembershipError("planted: u leaves the localization")
+    monkeypatch.setattr(frobdiv, "u_of_twisted_power", u_of_twisted_power)
+
+
+def _plant_indivisible_delta(monkeypatch):
+    qtwist.clear_caches()              # delta_iterates is memoized: rebuild it under the fault
+    real = frobdiv.phi_dp
+    monkeypatch.setattr(frobdiv, "phi_dp", lambda e: real(e) + DPElem.basis(e.ctx, 1))
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("command, plant, message", [
+    ("u-check", _plant_membership_failure,
+     "MembershipError: planted: u leaves the localization"),
+    ("envelope-check", _plant_indivisible_delta,
+     "NotDivisibleError: numerator coefficient 1 not divisible by 3")],
+    ids=["u-check", "envelope-check"])
+def test_a_failed_identity_is_a_report_in_the_requested_format(capsys, monkeypatch, command,
+                                                               plant, message, fmt):
+    plant(monkeypatch)
+    try:
+        code, out, err = run(capsys, command, "--p", "3", "--format", fmt)
+    finally:
+        qtwist.clear_caches()          # nothing built under the fault outlives it
+    assert code == 1 and err == ""
+    if fmt == "json":
+        rep = json.loads(out)
+        assert (rep["p"], rep["ok"], rep["error"]) == (3, False, message)
+    else:
+        assert out.splitlines()[-1] == f"FAILED: {message}"
+
+
+def test_other_exceptions_of_a_check_still_exit_three(capsys, monkeypatch):
+    import qtwist.cli as cli
+
+    def broken(p, n_cap):
+        raise ValueError("forced internal fault")
+
+    monkeypatch.setattr(cli, "u_consistency_check", broken)
+    code, out, err = run(capsys, "u-check", "--p", "3", "--format", "json")
+    assert code == 3 and out == ""
+    assert "internal error: ValueError: forced internal fault" in err
 
 
 def test_unread_flags_are_rejected(capsys):

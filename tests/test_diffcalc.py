@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from qtwist.qarith import LocScalar, QPoly, Q, q_binomial_pow, q_int, random_locscalar
+from qtwist.qarith import LocScalar, QPoly, Q, q_binomial, q_int, random_locscalar
 from qtwist.coordring import CoordPoly, SIDE_APRIME, q_derivative, sigma_power
 from qtwist.divpow import DPContext, DPElem
 from qtwist.diffcalc import (TwistedDiffOp, comult, op_apply, op_compose,
@@ -103,7 +103,7 @@ def leibniz_compose(d1, d2):
         for n2, f2 in d2.terms.items():
             g = f2                   # D^<n1-j>(f2), for j = n1, n1 - 1, ..., 0
             for j in range(n1, -1, -1):
-                term = f1 * q_binomial_pow(n1, j, k) * sigma_power(g, k * j)
+                term = f1 * q_binomial(n1, j).stretch(k) * sigma_power(g, k * j)
                 out[j + n2] = out.get(j + n2, CoordPoly(())) + term
                 g = q_derivative(g, k) * q_int(k)
     return TwistedDiffOp(p, m, out)

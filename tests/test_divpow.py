@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from qtwist.qarith import (ONE, LocScalar, QPoly, Q, q_binomial_pow, q_factorial, q_int,
+from qtwist.qarith import (ONE, LocScalar, QPoly, Q, q_binomial, q_factorial, q_int,
                            random_locscalar)
 from qtwist.coordring import CoordPoly, SIDE_A, SIDE_APRIME, accumulate, common_rows
 from qtwist.divpow import (DegreeCapError, DPContext, DPElem, XiPoly, _struct_consts_closed,
@@ -204,7 +204,7 @@ def _basis_product_by_closed_form(ctx, n1, n2):
     """xi^[n1] xi^[n2] with each constant formed here from q-binomials and y."""
     k, c = ctx.twist, -ctx.y_scale()
     return DPElem(ctx, {n1 + n2 - i: CoordPoly.monomial(
-        (q_binomial_pow(n1, i, k) * q_binomial_pow(n1 + n2 - i, n1, k))
+        (q_binomial(n1, i).stretch(k) * q_binomial(n1 + n2 - i, n1).stretch(k))
         .shifted(k * (i * (i - 1) // 2)) * c ** i, i, ctx.side)
         for i in range(min(n1, n2) + 1)})
 

@@ -80,3 +80,19 @@ def test_mixing_sides_or_contexts_raises(case):
         e + other
     with pytest.raises(ValueError):
         e * other
+
+
+@pytest.mark.parametrize("element, text", [
+    (CASES["XiPoly"][0], "(x)*xi^0 + (1)*xi^1 + (q)*xi^2"),
+    (XiPoly(), "0"),
+    (CASES["DPElem"][0], "(x)*w[0] + (1)*w[1] + (q)*w[2]"),
+    (DPElem(DPContext(2, 0), {0: x, 3: LocScalar(1, 3)}), "(x)*xi[0] + (((1) / (3)))*xi[3]"),
+    (DPElem(DPContext(2, 1)), "DPElem(0)"),
+    (CASES["TwistedDiffOp"][0], "(x)*D<0> + (1)*D<1>"),
+    (TwistedDiffOp(2, 1), "TwistedDiffOp(0)"),
+    (BiCoordPoly(2, {(1, 0): 1, (0, 1): Q, (0, 0): LocScalar(1, 3), (2, 1): 1}),
+     "((1) / (3))*1 + (q)*x2^1 + (1)*x1^1 + (1)*x1^2x2^1"),
+    (BiCoordPoly(2), "BiCoordPoly(0)"),
+])
+def test_repr_lists_terms_by_key(element, text):
+    assert repr(element) == text

@@ -24,6 +24,7 @@ def test_clear_caches_lists_and_empties_every_memo_table():
     tables = _memo_tables()
     assert {"qtwist.qarith.q_int", "qtwist.frobdiv.coeff_b",
             "qtwist.divpow._struct_consts_closed", "qtwist.cli.build_parser"} <= set(tables)
+    assert len(tables) == 14           # a q-analog in q^k is a stretch, never a table of its own
     qarith.q_binomial(6, 3)
     frobdiv.coeff_b(3, 4, 2)
     divpow.dp_mul(divpow.DPElem.basis(divpow.DPContext(2), 1),

@@ -39,12 +39,7 @@ def test_factorial_check_catches_a_faulty_stretch(monkeypatch):
         return out if len(self.coeffs) < 8 else qa.QPoly(out.coeffs[:-1])
 
     monkeypatch.setattr(qa.QPoly, "stretch", stretch)
-    qa.q_factorial_pow.cache_clear()   # every power below is built under the fault, none outlives it
-    try:
-        verdict = check_factorial_frobenius(VerifyConfig())
-    finally:
-        qa.q_factorial_pow.cache_clear()
-    assert verdict == (False, "q -> q^2 fails on factorial 5")
+    assert check_factorial_frobenius(VerifyConfig()) == (False, "q -> q^2 fails on factorial 5")
 
 
 def test_runner_reports_raises_and_skips_and_goes_on(monkeypatch):

@@ -22,15 +22,15 @@ standard algebra at twist q^p (level 0 at qexp p), and the blow-up by
 (p)_q, an injective ring map, restores them.  The top coefficient
 b(n, pn) = prod (kp - j)_q over 1 <= k <= n, 1 <= j <= p-1 is a unit.
 
-b(n, i) is computed without any generic gcd: the q-factorial quotient is
-a signed Counter of cyclotomic exponents, with P and N the products of
-its positive and negative parts.  a(n, i) is divided by N, at once or
-else copy by copy (cyclotomics are irreducible over Q, so what fails to
-divide is exactly the reduced denominator), and only then multiplied by
-P, which shares no cyclotomic with it.  A row b(n, .) is filled along i
-by the recurrence (i)_q! = (i-1)_q! (i)_q: each cyclotomic(e), e | i,
-e > 1, raises its exponent by one, so P gains a copy of it or N loses
-one by an exact division.
+The q-factorial quotient in b(n, i) is a signed Counter of cyclotomic
+exponents, with P and N the products of its positive and negative parts,
+which share no cyclotomic.  A row b(n, .) is filled along i by the
+recurrence (i)_q! = (i-1)_q! (i)_q: each cyclotomic(e), e | i, e > 1,
+raises its exponent by one, so P gains a copy of it or N loses one by an
+exact division.  Each entry is a(n, i)/N times P: the quotient of one
+exact polynomial division, which the tests find exact for n <= 8 at
+p = 2, 3, 5 and 7, or else the fraction a(n, i)/N, reduced by a gcd like
+any other.
 
 The diagonal map u: xi -> x2 - x1 into A tensor_{A'} A sends the level 0
 twisted power prod_{i<n} (xi + (i)_q (1 - q) x) to the q-Pochhammer
@@ -51,8 +51,8 @@ from functools import lru_cache
 from math import prod
 
 from .qarith import (LocScalar, NotDivisibleError, ONE, QPoly, _divisors, _kron_pack,
-                     cyclotomic, divide_by_cyclotomic_product, divide_exact, is_unit,
-                     q_binomial, q_factorial, q_factorial_cyclotomic_exponents, q_int)
+                     cyclotomic, divide_exact, is_unit, q_binomial, q_factorial,
+                     q_factorial_cyclotomic_exponents, q_int)
 from .coordring import (BiCoordPoly, CoordPoly, SIDE_A, SIDE_APRIME, accumulate,
                         phi_abs, rel_frobenius, tensor_embed_left)
 from .divpow import (DEFAULT_DEGREE_CAP, DPContext, DPElem, XiPoly, blowup,
@@ -85,7 +85,8 @@ def coeff_a(n, i, p):
 @lru_cache(maxsize=None)
 def _b_row(n, p):
     """(b(n, n), ..., b(n, pn)), a MembershipError in place of an entry
-    outside the localization; num = P and den = N step along i (module docstring)."""
+    outside the localization.  num = P and den = N step along i, and each
+    entry is a(n, i)/N times P (module docstring)."""
     expo = q_factorial_cyclotomic_exponents(n - 1)     # the quotient at i = n - 1
     expo.subtract(q_factorial_cyclotomic_exponents(n, p) + Counter({p: n}))
     num, den = (prod((cyclotomic(d) ** e for d, e in f.items()), start=ONE)
@@ -101,7 +102,7 @@ def _b_row(n, p):
         try:            # num and den share no cyclotomic: den | a num iff den | a
             b = LocScalar(coeff_a(n, i, p).divexact(den))
         except NotDivisibleError:
-            b = divide_by_cyclotomic_product(LocScalar(coeff_a(n, i, p)), -expo)
+            b = LocScalar(coeff_a(n, i, p), den)
         b = LocScalar._from_pair((b.num * num).coeffs, b.den.coeffs)
         row.append(b if b.in_localization(p) else MembershipError(
             f"b({n},{i}) has non-unit denominator {b.den} at p={p}"))
@@ -421,9 +422,8 @@ def u_of_twisted_power(n, p):
         try:
             c.num.divexact(den)
         except NotDivisibleError:     # divided in full only to name the denominator
-            c = divide_by_cyclotomic_product(c, q_factorial_cyclotomic_exponents(n))
-            raise MembershipError(
-                f"u on divided power {n} leaves the localization: {c.den}") from None
+            raise MembershipError(f"u on divided power {n} leaves the localization: "
+                                  f"{(c / q_factorial(n)).den}") from None
     return img
 
 
@@ -445,13 +445,11 @@ def u_closed_formula(p):
         terms[(2, 0)] = LocScalar(ONE)
     else:
         num = QPoly([1, -1]) * q_int(p * (p - 1) // 2)   # (1-q)(p(p-1)/2)_q
-        terms[(p, 0)] = divide_by_cyclotomic_product(
-            LocScalar(num), q_factorial_cyclotomic_exponents(p))
+        terms[(p, 0)] = LocScalar(num, q_factorial(p))
     for i in range(1, p):
         sign = -1 if i % 2 else 1
         num = QPoly((0,) * (i * (i - 1) // 2) + (sign,))
-        facs = q_factorial_cyclotomic_exponents(i) + q_factorial_cyclotomic_exponents(p - i)
-        terms[(i, p - i)] = divide_by_cyclotomic_product(LocScalar(num), facs)
+        terms[(i, p - i)] = LocScalar(num, q_factorial(i) * q_factorial(p - i))
     return BiCoordPoly(p, terms)
 
 
@@ -469,8 +467,7 @@ def u_apply(e):
     for n in range(top, -1, -1):
         acc = acc * _u_factor(n, p) + tensor_embed_left(e.coeff(n) * w, p)
         w = w * q_int(n)
-    factors = q_factorial_cyclotomic_exponents(top)
-    return acc.map_coeffs(lambda c: divide_by_cyclotomic_product(c, factors))
+    return acc.map_coeffs(lambda c: c / q_factorial(top))
 
 
 def u_consistency_check(p, n_cap=None):

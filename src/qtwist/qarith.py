@@ -50,7 +50,9 @@ no common divisor, Euclid by primitive pseudo-remainders decides.
 
 q-analogs: ``q_int(n)`` = 1 + q + ... + q^(n-1), ``q_factorial``,
 ``q_binomial`` (Gaussian binomial, computed by the q-Pascal recurrence),
-and cyclotomic polynomials used for exact division decisions.
+each cached once and read in q^k as its ``stretch(k)``.  ``cyclotomic(d)``
+and the cyclotomic exponents of a q-factorial decide divisibility by a
+q-factorial without a gcd; a fraction divides by one as by any polynomial.
 """
 
 from __future__ import annotations
@@ -816,30 +818,6 @@ def divide_exact(z, d):
             raise NotDivisibleError(
                 f"numerator coefficient {c} not divisible by {d}", witness=c)
     return z._from_pair(tuple(c // d for c in z.num.coeffs), z.den.coeffs)
-
-
-def divide_by_cyclotomic_product(z, factors):
-    """Divide the fraction z by prod cyclotomic(d)^e without a generic gcd.
-
-    ``factors`` maps cyclotomic index d to an exponent e >= 0.  Copies of
-    cyclotomic(d) that divide the numerator exactly are cancelled by trial
-    division; the rest join the denominator, which stays coprime to the
-    numerator (cyclotomics are irreducible over Q), so the result is
-    already canonical.
-    """
-    if z.is_zero():
-        return z
-    num = z.num
-    extra = ONE
-    for d, e in sorted(factors.items()):
-        phi = cyclotomic(d)
-        for k in range(e):
-            try:
-                num = num.divexact(phi)
-            except NotDivisibleError:        # num is unchanged: the rest fail too
-                extra = extra * phi ** (e - k)
-                break
-    return z._from_pair(num.coeffs, (z.den * extra).coeffs)
 
 
 def mul_rows(pairs):

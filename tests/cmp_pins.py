@@ -5,8 +5,10 @@ Usage, from the repository root:
     PYTHONPATH=src python3 tests/cmp_pins.py
 
 Each row runs ``python3 -m qtwist ARGV`` in its own process, two rows at a
-time, and compares its stdout with the expected file.  Every row whose
-output differs is named, and the exit code is 1 if any differs, 0 if all match.
+time, and compares its stdout with the expected file.  A row matches if its
+stdout is the file's bytes and qtwist exits 0.  Every other row is named,
+with the exit code if it is not 0, and the exit code is 1 if any row
+differs, 0 if all match.
 """
 
 import os
@@ -31,18 +33,21 @@ def pins():
 
 
 def differs(pin):
+    """Why the row differs ("" if it matches): the exit code if nonzero, else "stdout"."""
     argv, expected = pin
-    got = subprocess.run([sys.executable, "-m", "qtwist", *argv], stdout=subprocess.PIPE).stdout
+    run = subprocess.run([sys.executable, "-m", "qtwist", *argv], stdout=subprocess.PIPE)
+    if run.returncode:
+        return f"exit {run.returncode}"
     with open(expected, "rb") as fh:
-        return got != fh.read()
+        return "" if run.stdout == fh.read() else "stdout"
 
 
 def main():
     rows = pins()
     with ThreadPoolExecutor(2) as pool:
-        bad = [pin for pin, d in zip(rows, pool.map(differs, rows)) if d]
-    for argv, expected in bad:
-        print(f"differs: python3 -m qtwist {shlex.join(argv)} | cmp - {expected}")
+        bad = [(pin, d) for pin, d in zip(rows, pool.map(differs, rows)) if d]
+    for (argv, expected), why in bad:
+        print(f"differs ({why}): python3 -m qtwist {shlex.join(argv)} | cmp - {expected}")
     print(f"{len(rows) - len(bad)} of {len(rows)} pins match")
     return 1 if bad else 0
 

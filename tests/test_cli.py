@@ -91,11 +91,26 @@ def test_every_cmp_pin_parses_and_names_existing_files():
 
     root = os.path.dirname(os.path.dirname(__file__))
     rows = pins()
-    assert len(rows) == 27 and len({expected for _, expected in rows}) == 27
+    assert len(rows) == 28 and len({expected for _, expected in rows}) == 28
     for argv, expected in rows:
         args = build_parser().parse_args(argv)
         assert args.format == "json" and os.path.isfile(os.path.join(root, expected)), argv
         assert not hasattr(args, "input") or os.path.isfile(os.path.join(root, args.input))
+
+
+def test_cmp_pins_counts_a_nonzero_exit_as_a_difference(tmp_path, monkeypatch, capsys):
+    import cmp_pins
+
+    empty = tmp_path / "empty.json"
+    empty.write_bytes(b"")
+    table = tmp_path / "pins.txt"
+    table.write_text(f"verify --suite nope | {empty}\n")      # usage error: exit 2, no stdout
+    monkeypatch.setattr(cmp_pins, "TABLE", str(table))
+    monkeypatch.setenv("PYTHONPATH", os.path.dirname(os.path.dirname(qtwist.__file__)))
+    assert cmp_pins.main() == 1
+    out = capsys.readouterr().out
+    assert out == (f"differs (exit 2): python3 -m qtwist verify --suite nope | cmp - {empty}\n"
+                   "0 of 1 pins match\n")
 
 
 def test_package_runs_as_a_module():

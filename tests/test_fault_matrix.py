@@ -10,6 +10,7 @@ the exact set of check ids that fail.
 import pytest
 
 import qtwist
+import qtwist.frobdiv as fd
 import qtwist.qarith as qa
 from qtwist.verify import VerifyConfig, run_suite
 
@@ -28,6 +29,20 @@ def _faulty_stretch(monkeypatch):
     monkeypatch.setattr(qa.QPoly, "stretch", stretch)
 
 
+def _shifted_u_factor(monkeypatch):
+    """The diagonal map's factor x2 - q^i x1 becomes x2 - q^(i+1) x1 for i >= 2."""
+    real = fd._u_factor
+    monkeypatch.setattr(fd, "_u_factor", lambda i, p: real(i + 1 if i >= 2 else i, p))
+
+
+def _a_2_3_plus_q3(monkeypatch):
+    """a(2, 3) gains q^3, so that the denominator N of b(2, 3) / a(2, 3) no longer
+    divides it and ``_b_row`` takes its fallback division."""
+    real = fd.coeff_a
+    monkeypatch.setattr(fd, "coeff_a", lambda n, i, p: real(n, i, p) + (
+        qa.QPoly((0, 0, 0, 1)) if (n, i) == (2, 3) else qa.QPoly()))
+
+
 # name -> (plant, suites run, the check ids that fail)
 FAULTS = {
     "stretch-drops-top-coefficient": (
@@ -41,6 +56,15 @@ FAULTS = {
             "frobdiv.envelope-basis", "frobdiv.phi-frobenius-congruence",
             "frobdiv.phi-level-zero-compat", "frobdiv.phi-multiplicative",
             "qarith.factorial-frobenius-compat",
+        }),
+    "u-factor-shift": (_shifted_u_factor, ("frobdiv",), {"frobdiv.u-consistency"}),
+    "a-2-3-plus-q3": (
+        _a_2_3_plus_q3, ("frobdiv",), {
+            "frobdiv.b-in-localization", "frobdiv.delta-xi-blowup",
+            "frobdiv.divided-frobenius-multiplicative", "frobdiv.envelope-basis",
+            "frobdiv.phi-frobenius-congruence", "frobdiv.phi-level-zero-compat",
+            "frobdiv.phi-multiplicative", "frobdiv.u-consistency",
+            "frobdiv.v-basis-triangular",
         }),
 }
 

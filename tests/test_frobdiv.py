@@ -6,8 +6,7 @@ from math import prod
 import pytest
 
 from qtwist import frobdiv
-from qtwist.qarith import (LocScalar, ONE, QPoly, Q, cyclotomic,
-                           divide_by_cyclotomic_product, is_unit, q_factorial,
+from qtwist.qarith import (LocScalar, ONE, QPoly, Q, cyclotomic, is_unit, q_factorial,
                            q_factorial_cyclotomic_exponents, q_int, random_locscalar)
 from qtwist.coordring import (BiCoordPoly, CoordPoly, SIDE_A, SIDE_APRIME, accumulate,
                               phi_abs, rel_frobenius, tensor_diagonal_generator,
@@ -23,6 +22,7 @@ from qtwist.frobdiv import (FrobCoeffTable, MembershipError, coeff_a, coeff_b,
                             u_apply, u_closed_formula, u_consistency_check,
                             u_of_divided_power, u_of_twisted_power,
                             v_basis, v_basis_triangular)
+from trial_division import divide_by_cyclotomic_product
 
 x = CoordPoly.x()
 

@@ -14,11 +14,11 @@ from qtwist.qarith import (DIVISION_CUTOFF, HORNER_TERMS, KRONECKER_CUTOFF, LocS
                            _divmod_int, _gcd_cofactors, _scale,
                            _kron_pack, _kron_sum, _kron_unpack, _mul, _mul_schoolbook,
                            _neg, _primitive, _pseudo_rem, _trim, cyclotomic,
-                           divide_by_cyclotomic_product,
                            divide_exact, is_unit, mul_q_int, mul_rows,
                            q_binomial, q_factorial,
                            q_factorial_cyclotomic_exponents, q_int,
                            random_locscalar, random_qpoly)
+from trial_division import divide_by_cyclotomic_product
 
 
 # ---------------------------------------------------------------------------
@@ -107,13 +107,21 @@ def test_factorial_cyclotomic_exponents():
             assert prod == q_factorial(n).stretch(j), (n, j)
 
 
+def cyclotomic_product(factors):
+    """prod cyclotomic(d)^e over the items (d, e) of factors."""
+    return math.prod((cyclotomic(d) ** e for d, e in factors.items()), start=ONE)
+
+
 def test_divide_by_cyclotomic_product():
     z = LocScalar(q_factorial(4) * QPoly([0, 5]))
-    out = divide_by_cyclotomic_product(z, q_factorial_cyclotomic_exponents(4))
+    divisor = cyclotomic_product(q_factorial_cyclotomic_exponents(4))
+    out = z / divisor
     assert out == LocScalar(QPoly([0, 5]))
+    assert same(out, reduced_again(out)) and out * divisor == z
     # non-dividing factors move to the denominator, already reduced
-    w = divide_by_cyclotomic_product(LocScalar(ONE), {2: 1})
+    w = LocScalar(ONE) / cyclotomic_product({2: 1})
     assert w.num == ONE and w.den == q_int(2)
+    assert same(w, reduced_again(w)) and w * cyclotomic(2) == LocScalar(ONE)
 
 
 # ---------------------------------------------------------------------------
@@ -895,12 +903,20 @@ def test_trusted_producers_return_canonical_values(a, k, d, poly, factors):
             continue
         assert same(out, reduced_again(out))
         assert out * divisor == z
-    out = divide_by_cyclotomic_product(a, factors)
+    prod = cyclotomic_product(factors)
+    out = a / prod
     assert same(out, reduced_again(out))
-    prod = ONE
-    for e, m in factors.items():
-        prod = prod * cyclotomic(e) ** m
     assert out * prod == a
+
+
+@given(fracs(LocScalar), st.integers(0, 12), st.integers(0, 12))
+@settings(max_examples=100, deadline=None)
+def test_division_by_a_q_factorial_matches_trial_division(z, n, k):
+    # a numerator times (k)_q! shares some or all of its cyclotomics with (n)_q!
+    for a in (z, LocScalar(z.num * q_factorial(k), z.den)):
+        got = a / q_factorial(n)
+        want = divide_by_cyclotomic_product(a, q_factorial_cyclotomic_exponents(n))
+        assert (got.num, got.den) == (want.num, want.den)
 
 
 def test_reflected_division_by_an_unsupported_type():

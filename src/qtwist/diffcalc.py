@@ -20,7 +20,9 @@ the rule into the twisted Leibniz formula
 W_0 = B and W_{n+1}[J] = D^<1>(W_n[J]) + sigma(W_n[J-1]), the formula's induction step
 (D^<1> sigma^j = Q^j sigma^j D^<1>, C(n+1, j)_Q = Q^j C(n, j)_Q + C(n, j-1)_Q).  Both
 maps are R-linear, so it runs on B's integer rows over one denominator beta, and with
-A's rows over alpha each output coefficient is one packed sum (``qarith.mul_rows``):
+A's rows over alpha each output coefficient is one packed sum (``qarith.mul_rows``).
+There the factor with more coefficients, mostly W_n[J] (each twist lengthens row d by
+k d), is packed whole and multiplied by each row of the other, mostly a_n:
 
     (sum_n (a_n / alpha) D^<n>) o B = sum_J (sum_n a_n W_n[J]) / (alpha beta) D^<J>.
 

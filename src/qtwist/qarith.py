@@ -6,11 +6,14 @@ in ascending degree: a_0 + a_1*q + ... + a_n*q^n corresponds to
 
 Products use the schoolbook loop, which skips the zero coefficients of
 both operands (it walks a list of b's nonzero terms), unless both have
-``KRONECKER_CUTOFF`` (6) or more nonzero ones.  Every packed product is
-one ``_kron_sum``: Kronecker substitution (Kronecker 1882; Harvey, J.
-Symb. Comput. 2009) packs each operand into one integer at q = X = 256^w,
-multiplies and adds the integers, and reads the coefficients off the
-signed base-X digits, with 8w >= bits(S) + 1 for S = sum max|a| max|b|
+``KRONECKER_CUTOFF`` (6) or more nonzero ones.  Such a product is taken
+in q^k, k the gcd of the exponents of both operands' nonzero terms, and
+packed.  Every packed product is one ``_kron_sum``: Kronecker substitution
+(Kronecker 1882; Harvey, J. Symb. Comput. 2009) packs one operand a into
+one integer at q = X = 256^w, multiplies it by the integer of each row of
+the other, b = sum_d b_d q^(dL) (one row for a product in Z[q]), shifts
+that product d L digits, adds up everything, and reads the coefficients
+off the signed base-X digits.  8w >= bits(S) + 1 for S = sum max|a| max|b|
 min(nnz a, nnz b) over the pairs, a bound on every coefficient.  w is
 rounded up to 1, 2, 4 or 8 bytes where that fits, so that the digits
 convert through an ``array`` in C, and wider ones through 8-byte limbs;
@@ -109,8 +112,22 @@ def _mul(a, b):
         return b if a == (1,) else a
     if (len(a) - a.count(0) >= KRONECKER_CUTOFF
             and len(b) - b.count(0) >= KRONECKER_CUTOFF):
-        return _trim(_kron_sum([(a, b)]))
+        k = _exponent_gcd(a, b)                 # a, b in Z[q^k]: packed in q^k
+        c = a[::k]
+        return _stretch(_trim(_kron_sum([(c, (c if b is a else b[::k],), 0)])), k)
     return _mul_schoolbook(a, b)
+
+
+def _exponent_gcd(a, b):
+    """The gcd of the exponents of the nonzero terms of a and b, or 1 once it is 1."""
+    if a[1] or b[1] or a[-2] or b[-2]:      # two adjacent exponents, as in most operands
+        return 1
+    k = 0
+    for c in (a, b):
+        for i in range(1, len(c)):
+            if c[i] and (k := math.gcd(k, i)) == 1:
+                return 1
+    return k
 
 
 def _mul_schoolbook(a, b):
@@ -184,19 +201,26 @@ def _kron_unpack(x, w, m):
 
 
 def _kron_sum(pairs):
-    """sum a*b over pairs of nonzero operands, packed at the one q = 256^w that the
-    bound S of the module docstring sets.  A pair with b is a packs once and squares.
-    A zero operand would give its pair no share of S, so the other could overflow
-    its digits; ``_mul`` and ``mul_rows`` pass none."""
+    """sum a * (sum_d rows[d] q^(dL)) over triples (a, rows, L), no row longer than L, at
+    the one q = 256^w that the bound S of the module docstring sets; (a, (a,), 0) squares.
+    A zero a, or rows with no nonzero term, would give their triple no share of S, so
+    the other could overflow its digits; ``_mul`` and ``mul_rows`` pass none."""
     s = m = x = 0
-    for a, b in pairs:
-        s += (max(max(a), -min(a)) * max(max(b), -min(b))
-              * min(len(a) - a.count(0), len(b) - b.count(0)))
-        m = max(m, len(a) + len(b) - 1)
+    for a, rows, L in pairs:
+        t = n = 0                               # max |row coefficient|, nonzero row terms
+        for r in rows:
+            if r:
+                t, n = max(t, max(r), -min(r)), n + len(r) - r.count(0)
+        s += max(max(a), -min(a)) * t * min(len(a) - a.count(0), n)
+        m = max(m, len(a) + (len(rows) - 1) * L + len(rows[-1]) - 1)
     w = _digit_bytes(s.bit_length() + 1)
-    for a, b in pairs:
-        y = _kron_pack(a, w)
-        x += y * (y if b is a else _kron_pack(b, w))    # y * y takes CPython's squaring path
+    for a, rows, L in pairs:
+        y, z = _kron_pack(a, w), 0
+        for r in reversed(rows):                # Horner in 256^(wL), empty rows skipped
+            z <<= 8 * w * L
+            if r:
+                z += y * (y if r is a else _kron_pack(r, w))   # y * y: CPython's squaring
+        x += z
     return _kron_unpack(x, w, m)
 
 
@@ -821,9 +845,11 @@ def divide_exact(z, d):
 
 
 def mul_rows(pairs):
-    """The rows of sum (sum a_i x^i)(sum b_j x^j) over pairs of integer row tuples: row
-    by row if one pair has a factor of one nonzero row, else all packed at x = q^L, L the
-    largest max len(a_i) + max len(b_j) - 1, and summed at once (``_kron_sum``)."""
+    """The rows of sum (sum a_i x^i)(sum b_j x^j) over pairs of integer row tuples, at
+    x = q^L, L the largest max len(a_i) + max len(b_j) - 1, summed at once by
+    ``_kron_sum``, which multiplies the factor with more coefficients of each pair by
+    the other row by row; row by row in ``_mul`` if one pair has a factor of one
+    nonzero row."""
     if len(pairs) == 1:
         a, b = pairs[0]
         if not a or not b:
@@ -832,10 +858,11 @@ def mul_rows(pairs):
             a, b = b, a
         if len(a) - a.count(()) == 1:
             return ((),) * (len(a) - 1) + tuple(_mul(a[-1], s) if s else () for s in b)
-    elif not (pairs := [(a, b) for a, b in pairs if a and b]):
+    if not (pairs := [(a, b) if sum(map(len, a)) >= sum(map(len, b)) else (b, a)
+                      for a, b in pairs if a and b]):
         return ()
     L = max(max(map(len, a)) + max(map(len, b)) - 1 for a, b in pairs)
-    prod = _kron_sum([(_pack_rows(a, L), _pack_rows(b, L)) for a, b in pairs])
+    prod = _kron_sum([(_pack_rows(a, L), b, L) for a, b in pairs])
     return _trim([_trim(prod[k:k + L]) for k in range(0, len(prod), L)])
 
 

@@ -91,7 +91,7 @@ def test_every_cmp_pin_parses_and_names_existing_files():
 
     root = os.path.dirname(os.path.dirname(__file__))
     rows = pins()
-    assert len(rows) == 28 and len({expected for _, expected in rows}) == 28
+    assert len(rows) == 29 and len({expected for _, expected in rows}) == 29
     for argv, expected in rows:
         args = build_parser().parse_args(argv)
         assert args.format == "json" and os.path.isfile(os.path.join(root, expected)), argv

@@ -7,6 +7,8 @@ the suites the fault can reach at p = 2 with small sample counts, and pins
 the exact set of check ids that fail.
 """
 
+import sys
+
 import pytest
 
 import qtwist
@@ -43,6 +45,29 @@ def _a_2_3_plus_q3(monkeypatch):
         qa.QPoly((0, 0, 0, 1)) if (n, i) == (2, 3) else qa.QPoly()))
 
 
+def _narrow_kron_digits(monkeypatch):
+    """``_kron_sum`` packs its products one byte narrower than the bound S asks for
+    (never below one byte); the other packed kernels keep their widths."""
+    real, kron_sum = qa._digit_bytes, qa._kron_sum.__code__
+
+    def digit_bytes(bits):
+        w = real(bits)
+        return max(w - 1, 1) if sys._getframe(1).f_code is kron_sum else w
+
+    monkeypatch.setattr(qa, "_digit_bytes", digit_bytes)
+
+
+def _unshifted_last_row(monkeypatch):
+    """``_kron_sum`` multiplies by the last of several rows unshifted, as if it were row 0."""
+    real = qa._kron_sum
+    monkeypatch.setattr(qa, "_kron_sum", lambda pairs: real([
+        (a, rows if len(rows) == 1 else (qa._add(rows[0], rows[-1]),) + rows[1:-1], L)
+        for a, rows, L in pairs]))
+
+
+# every suite but qarith, which multiplies no polynomials in x
+ROW_SUITES = ("coordring", "divpow", "frobdiv", "diffcalc", "connect")
+
 # name -> (plant, suites run, the check ids that fail)
 FAULTS = {
     "stretch-drops-top-coefficient": (
@@ -65,6 +90,30 @@ FAULTS = {
             "frobdiv.phi-frobenius-congruence", "frobdiv.phi-level-zero-compat",
             "frobdiv.phi-multiplicative", "frobdiv.u-consistency",
             "frobdiv.v-basis-triangular",
+        }),
+    "kron-sum-digits-one-byte-narrower": (
+        _narrow_kron_digits, ("qarith",) + ROW_SUITES, {
+            "qarith.binomial-polynomiality",
+            "coordring.frobenius-mod-p", "coordring.frobenius-multiplicative",
+            "coordring.twisted-leibniz",
+            "divpow.blowup-multiplicative", "divpow.factorial-map-multiplicative",
+            "divpow.generic-specialization", "divpow.mul-associative-commutative",
+            "frobdiv.b-in-localization", "frobdiv.delta-xi-blowup",
+            "frobdiv.divided-frobenius-multiplicative", "frobdiv.envelope-basis",
+            "frobdiv.phi-frobenius-congruence", "frobdiv.phi-level-zero-compat",
+            "frobdiv.phi-multiplicative",
+            "diffcalc.action-respects-composition", "diffcalc.compose-associative",
+            "diffcalc.taylor-multiplicative",
+            "connect.commutation-identities", "connect.level-raise-leibniz-roundtrip",
+            "connect.pullback-well-defined",
+        }),
+    "kron-sum-last-row-unshifted": (
+        _unshifted_last_row, ROW_SUITES, {
+            "coordring.frobenius-mod-p", "coordring.frobenius-multiplicative",
+            "coordring.twisted-leibniz",
+            "diffcalc.action-respects-composition", "diffcalc.compose-associative",
+            "diffcalc.taylor-multiplicative",
+            "connect.level-raise-leibniz-roundtrip", "connect.pullback-well-defined",
         }),
 }
 

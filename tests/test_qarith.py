@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtwist import qarith
-from qtwist.coordring import add_rows
+from qtwist.coordring import add_rows, sigma_rows
 from qtwist.qarith import (DIVISION_CUTOFF, HORNER_TERMS, KRONECKER_CUTOFF, LocScalar,
                            NotDivisibleError, ONE, QPoly, Q, _divexact, _divexact_packed,
-                           _divmod_int, _gcd_cofactors, _scale,
+                           _divmod_int, _exponent_gcd, _gcd_cofactors, _scale, _stretch,
                            _kron_pack, _kron_sum, _kron_unpack, _mul, _mul_schoolbook,
                            _neg, _primitive, _pseudo_rem, _trim, cyclotomic,
                            divide_exact, is_unit, mul_q_int, mul_rows,
@@ -344,7 +344,7 @@ def sparse_operands(draw, min_len=24, max_len=80):
 
 def packed(a, b):
     """a * b as one packed product, the way _mul makes it."""
-    return _trim(_kron_sum([(a, b)]))
+    return _trim(_kron_sum([(a, (b,), 0)]))
 
 
 @given(kernel_operands(), kernel_operands())
@@ -376,7 +376,7 @@ def test_packed_squares_match_the_schoolbook_square(a, b):
     # the pair (a, a) packs a once and squares; an equal copy of a multiplies two packings
     square = _mul_schoolbook(a, a)
     assert packed(a, a) == square == packed(a, (*a,))
-    assert _trim(_kron_sum([(a, a), (b, a), (b, b)])) == qarith._add(
+    assert _trim(_kron_sum([(a, (a,), 0), (b, (a,), 0), (b, (b,), 0)])) == qarith._add(
         square, _mul_schoolbook(b, qarith._add(a, b)))
 
 
@@ -536,6 +536,66 @@ def test_packed_sum_digits_at_the_bound(w, sign):
         big = ((1 << m) - 1,) * 2
         assert mul_rows([((big,), ((sign * big[0],) * 2,))] * 2) == (
             tuple(2 * sign * big[0] ** 2 * c for c in (1, 2, 1)),)
+
+
+@pytest.mark.parametrize("w", [1, 2, 4, 8, 9, 16])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_row_by_row_digits_at_the_bound(w, sign):
+    # (c + c x)(1 + x) has middle row 2c: S counts the nonzero terms of all the rows
+    # multiplied one by one, min(2, 2) per digit; a pair (x)(1) makes the odd S
+    for top in ((1 << (8 * w - 1)) - 1, 1 << (8 * w - 1)):
+        c = sign * (top // 2)
+        pairs = [(((c,), (c,)), ((1,), (1,)))] + [(((), (sign,)), ((1,),))] * (top % 2)
+        assert mul_rows(pairs) == ((c,), (sign * top,), (c,))
+
+
+@st.composite
+def lopsided_rows(draw):
+    """(short, long): 1 to 5 rows of 1 to 3 terms against 1 to 4 rows of 20 to 40 terms,
+    either with empty rows inside and, as ``sigma_rows`` twists them, k d zeros before
+    row d."""
+    def rows(min_len, max_len, n):
+        inner = [draw(st.one_of(st.just(()), kernel_operands(min_len, max_len)))
+                 for _ in range(n - 1)]
+        out = tuple(inner) + (draw(kernel_operands(min_len, max_len)),)
+        return sigma_rows(out, draw(st.integers(0, 7))) if draw(st.booleans()) else out
+    return rows(1, 3, draw(st.integers(1, 5))), rows(20, 40, draw(st.integers(1, 4)))
+
+
+@given(st.lists(st.tuples(lopsided_rows(), st.booleans()), min_size=1, max_size=4))
+@settings(max_examples=120, deadline=None)
+def test_lopsided_row_products_match_the_schoolbook(items):
+    # the long factor packs whole and the short one multiplies it row by row, on
+    # whichever side of the pair it stands
+    pairs = [(s, t) if short_first else (t, s) for (s, t), short_first in items]
+    assert mul_rows(pairs) == rows_sum_reference(pairs)
+    by_schoolbook = ()
+    for a, b in pairs:
+        by_schoolbook = add_rows(by_schoolbook, rows_by_schoolbook(a, b))
+        assert mul_rows([(a, b)]) == rows_by_schoolbook(a, b) == mul_rows([(b, a)])
+    assert mul_rows(pairs) == by_schoolbook
+
+
+@st.composite
+def dense_operands(draw, min_len=KRONECKER_CUTOFF, max_len=24):
+    """Tuples with no zero coefficient, so that every product of two of them is packed."""
+    n = draw(st.integers(min_len, max_len))
+    bound = (1 << draw(st.integers(1, 100))) - 1
+    return tuple(draw(st.integers(1, bound)) * draw(st.sampled_from((1, -1))) for _ in range(n))
+
+
+@given(dense_operands(), dense_operands(), st.integers(2, 7), st.integers(1, 7), st.integers(0, 9))
+@settings(max_examples=120, deadline=None)
+def test_products_in_z_q_k_are_taken_in_q_k(a, b, k, j, s):
+    ak, bk, bj = _stretch(a, k), (0,) * (k * s) + _stretch(b, k), _stretch(b, j)
+    assert _exponent_gcd(ak, bk) == k and _exponent_gcd(ak, bj) == math.gcd(k, j)
+    assert _mul(ak, bk) == _mul_schoolbook(ak, bk) == _stretch(_mul_schoolbook(a, (0,) * s + b), k)
+    assert _mul(ak, ak) == _mul_schoolbook(ak, ak)
+    assert _mul(ak, bj) == _mul_schoolbook(ak, bj) == _mul(bj, ak)
+    # an operand in Z[q^k] times one outside it: gcd 1, the product in q
+    outside = (0,) * (k * s + 1) + bk
+    assert _exponent_gcd(ak, outside) == 1
+    assert _mul(ak, outside) == _mul_schoolbook(ak, outside) == _mul(outside, ak)
 
 
 @given(kernel_operands(max_len=30), st.integers(0, 40))
